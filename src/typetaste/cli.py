@@ -180,14 +180,15 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def cmd_scatter(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
     X = dataset.feature_matrix()
-    model = pca.fit_pca(X, args.dims)
-    coords = pca.project(model, X)
-    assignments = None
     if args.with_clusters:
         config = kmeans.KmeansConfig(
             k=args.k, seed=args.seed, restarts=args.restarts, reduce_first=args.dims
         )
-        assignments = kmeans.fit(X, config).assignments
+        result = kmeans.fit(X, config)
+        coords, assignments = result.space, result.assignments
+    else:
+        coords = pca.project(pca.fit_pca(X, args.dims), X)
+        assignments = None
     rows = analysis.scatter_export(coords, dataset.types, assignments)
     if args.types:
         wanted = {parse_mbti(t).value for t in args.types.split(",")}

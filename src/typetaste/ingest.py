@@ -285,6 +285,19 @@ def _dataset_header(catalog: GenreCatalog) -> list[str]:
     return ["respondent_id", "mbti", *catalog.genres]
 
 
+def _utf8_error(path: str | Path) -> str:
+    """Where the first byte that is not UTF-8 sits in the file at ``path``.
+
+    A text-mode reader decodes in chunks, so its error offsets are relative to
+    a chunk; decoding the whole file again gives the offset in the file.
+    """
+    try:
+        Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+    return "not UTF-8 text"
+
+
 def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Dataset:
     """Read and validate a survey CSV against ``catalog`` (default catalog
     when omitted).
@@ -296,44 +309,47 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
     expected = _dataset_header(catalog)
     records: list[SurveyRecord] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise SchemaMismatch(
-                f"header does not match catalog ({len(expected)} columns expected); "
-                f"got {header[:4] if header else header}..."
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != expected:
                 raise SchemaMismatch(
-                    f"line {lineno}: expected {len(expected)} columns, got {len(row)}"
+                    f"header does not match catalog ({len(expected)} columns expected); "
+                    f"got {header[:4] if header else header}..."
                 )
-            rid = row[0]
-            if not RESPONDENT_ID_RE.match(rid):
-                raise SchemaMismatch(
-                    f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
-                )
-            if rid in seen:
-                raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
-            seen.add(rid)
-            mbti = parse_mbti(row[1])
-            ratings = []
-            for cell, genre in zip(row[2:], catalog.genres):
-                if not (cell.isascii() and cell.isdigit()):
-                    raise InvalidRating(
-                        f"line {lineno}, column {genre!r}: ratings must be "
-                        f"integers 0..6, got {cell!r}"
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected):
+                    raise SchemaMismatch(
+                        f"line {lineno}: expected {len(expected)} columns, got {len(row)}"
                     )
-                value = int(cell)
-                if value > 6:
-                    raise InvalidRating(
-                        f"line {lineno}, column {genre!r}: rating out of range: {value}"
+                rid = row[0]
+                if not RESPONDENT_ID_RE.match(rid):
+                    raise SchemaMismatch(
+                        f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
                     )
-                ratings.append(value)
-            records.append(SurveyRecord(rid, mbti, tuple(ratings)))
+                if rid in seen:
+                    raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
+                seen.add(rid)
+                mbti = parse_mbti(row[1])
+                ratings = []
+                for cell, genre in zip(row[2:], catalog.genres):
+                    if not (cell.isascii() and cell.isdigit()):
+                        raise InvalidRating(
+                            f"line {lineno}, column {genre!r}: ratings must be "
+                            f"integers 0..6, got {cell!r}"
+                        )
+                    value = int(cell)
+                    if value > 6:
+                        raise InvalidRating(
+                            f"line {lineno}, column {genre!r}: rating out of range: {value}"
+                        )
+                    ratings.append(value)
+                records.append(SurveyRecord(rid, mbti, tuple(ratings)))
+    except UnicodeDecodeError:
+        raise SchemaMismatch(f"{path}: {_utf8_error(path)}") from None
     return Dataset(catalog, tuple(records))
 
 

@@ -66,7 +66,11 @@ class KmeansConfig:
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """One fitted clustering: per-row assignments, the centroids they are
-    nearest to, total within-cluster squared distance, and bookkeeping."""
+    nearest to, total within-cluster squared distance, and bookkeeping.
+
+    ``space`` holds the rows the fit clustered: the data itself, or its PCA
+    projection for ``pca-based`` fits.  It is ``None`` only for results built
+    by hand."""
 
     assignments: np.ndarray
     centroids: np.ndarray
@@ -74,6 +78,7 @@ class ClusteringResult:
     iterations: int
     elapsed: float
     method: str
+    space: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -87,14 +92,19 @@ def _as_matrix(data: np.ndarray) -> np.ndarray:
     return X
 
 
-def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, clipped at zero."""
-    d2 = (
-        (X * X).sum(axis=1)[:, None]
-        - 2.0 * (X @ centroids.T)
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.clip(d2, 0.0, None)
+def _sq_distances(X: np.ndarray, row_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, clipped at zero.  ``row_norms`` is
+    ``(X * X).sum(axis=1)``, computed once per Lloyd run by the caller.
+
+    Evaluates ``row_norms - 2 X C^T + |C|^2`` left to right in one buffer;
+    negating the product and adding the norms to it gives the same bits as
+    subtracting it from them.
+    """
+    d2 = X @ centroids.T
+    d2 *= -2.0
+    d2 += row_norms[:, None]
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -137,16 +147,21 @@ def init_random(data: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def _repair_empty(
-    X: np.ndarray, centroids: np.ndarray, labels: np.ndarray, d2min: np.ndarray
+    X: np.ndarray,
+    centroids: np.ndarray,
+    labels: np.ndarray,
+    d2min: np.ndarray,
+    counts: np.ndarray,
 ) -> None:
     """Give every empty cluster the point currently farthest from its centroid.
 
-    The seized point becomes the new centroid (in place).  Repeats until no
-    repairable empties remain; a cluster can stay empty only when the data has
-    fewer distinct points than clusters.
+    The seized point becomes the new centroid; ``centroids``, ``labels``,
+    ``d2min`` and the per-cluster ``counts`` are updated in place.  Repeats
+    until no repairable empties remain; a cluster can stay empty only when
+    the data has fewer distinct points than clusters.
     """
-    k = centroids.shape[0]
-    counts = np.bincount(labels, minlength=k)
+    if counts.all():
+        return
     seizable = d2min.copy()
     while True:
         empties = np.flatnonzero(counts == 0)
@@ -166,11 +181,19 @@ def _repair_empty(
 
 
 def _mean_update(
-    X: np.ndarray, labels: np.ndarray, k: int, fallback: np.ndarray
+    X: np.ndarray, labels: np.ndarray, counts: np.ndarray, fallback: np.ndarray
 ) -> np.ndarray:
-    sums = np.zeros((k, X.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, X)
-    counts = np.bincount(labels, minlength=k)
+    """Per-cluster means of the rows of ``X``; an empty cluster keeps its
+    ``fallback`` row.
+
+    One weighted bincount over the flattened (label, column) cell index adds
+    each cluster's rows in row order, as ``np.add.at`` would, so the sums are
+    bit-identical to that sequential update for float data too.
+    """
+    k = counts.shape[0]
+    d = X.shape[1]
+    cells = ((labels * d)[:, None] + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=X.ravel(), minlength=k * d).reshape(k, d)
     out = fallback.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
@@ -180,11 +203,12 @@ def _mean_update(
 def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) -> ClusteringResult:
     """Alternate assignment and mean updates from the given starting centroids.
 
-    Stops when the largest centroid movement drops below ``config.tol`` or
-    after ``config.max_iters`` rounds.  The returned assignments are computed
-    against the returned centroids, so every point is labeled with its true
-    nearest centroid, and the within-cluster squared-distance total never
-    increases across iterations.
+    Stops once the largest centroid movement is at most ``config.tol`` (so
+    ``tol = 0`` stops at an exact fixed point) or after ``config.max_iters``
+    rounds.  The returned assignments are computed against the returned
+    centroids, so every point is labeled with its true nearest centroid, and
+    the within-cluster squared-distance total never increases across
+    iterations.
     """
     X = _as_matrix(data)
     start = time.perf_counter()
@@ -194,26 +218,29 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
             f"centroids of shape {centroids.shape} do not match data {X.shape}"
         )
     k = centroids.shape[0]
+    row_norms = (X * X).sum(axis=1)
+    rows = np.arange(X.shape[0])
     previous_inertia = np.inf
     iterations = 0
     for _ in range(config.max_iters):
-        d2 = _sq_distances(X, centroids)
+        d2 = _sq_distances(X, row_norms, centroids)
         labels = np.argmin(d2, axis=1)
-        d2min = np.take_along_axis(d2, labels[:, None], axis=1).ravel()
-        _repair_empty(X, centroids, labels, d2min)
+        d2min = d2[rows, labels]
+        counts = np.bincount(labels, minlength=k)
+        _repair_empty(X, centroids, labels, d2min, counts)
         inertia = float(d2min.sum())
         assert inertia <= previous_inertia * (1 + 1e-12) + 1e-9
         previous_inertia = inertia
-        updated = _mean_update(X, labels, k, fallback=centroids)
+        updated = _mean_update(X, labels, counts, fallback=centroids)
         movement = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
         centroids = updated
         iterations += 1
-        if movement < config.tol:
+        if movement <= config.tol:
             break
     # Final pass: label against the final centroids so the result is coherent.
-    d2 = _sq_distances(X, centroids)
+    d2 = _sq_distances(X, row_norms, centroids)
     labels = np.argmin(d2, axis=1)
-    inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
+    inertia = float(d2[rows, labels].sum())
     return ClusteringResult(
         assignments=labels,
         centroids=centroids,
@@ -221,6 +248,7 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
         iterations=iterations,
         elapsed=time.perf_counter() - start,
         method=config.init,
+        space=X,
     )
 
 
@@ -236,8 +264,8 @@ def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
 
     Restart seeds are spawned from ``config.seed``, so the whole fit is a pure
     function of (data, config).  The result's method tag is the init name, or
-    ``pca-based`` when the fit ran in a reduced space; centroids and inertia
-    then live in that reduced space.
+    ``pca-based`` when the fit ran in a reduced space; centroids, inertia and
+    ``space`` then live in that reduced space.
     """
     X = _as_matrix(data)
     start = time.perf_counter()
@@ -263,6 +291,7 @@ def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
         iterations=best.iterations,
         elapsed=time.perf_counter() - start,
         method=method,
+        space=work,
     )
 
 

@@ -24,7 +24,6 @@ from scipy.spatial.distance import cdist
 from scipy.special import gammaln
 
 from . import kmeans as km
-from . import pca
 from .domain import Dataset
 from .errors import (
     DimensionMismatch,
@@ -373,11 +372,7 @@ def run_method_comparison(
             config = _method_config(method, k, int(cell_seeds[cell]), restarts, pca_dims)
             cell += 1
             result = km.fit(X, config)
-            if config.reduce_first is not None:
-                space = pca.project(pca.fit_pca(X, config.reduce_first), X)
-            else:
-                space = X
-            rows.append((category, evaluate(space, labels, result)))
+            rows.append((category, evaluate(result.space, labels, result)))
     return rows
 
 

@@ -4,7 +4,10 @@ Each oracle takes a different computational route than the library code it
 checks: entropy-based scores are recomputed from conditional entropies over
 probability tables, the pair-counting index from explicit pair enumeration,
 expected MI from exhaustive permutation averaging, eigendecomposition from
-cyclic Jacobi rotations, and silhouettes from a direct O(n^2) loop.
+cyclic Jacobi rotations, and silhouettes from a direct O(n^2) loop.  The
+Lloyd reference is the exception: it must match the library bit for bit, so
+it uses the same distance expression but the plainest route for everything
+else (full recomputation each round, one-row-at-a-time ``np.add.at`` sums).
 """
 
 from __future__ import annotations
@@ -137,6 +140,58 @@ def best_partition_sse_oracle(data, k) -> float:
             sse += float(((members - center) ** 2).sum())
         best = min(best, sse)
     return best
+
+
+def lloyd_oracle(data, init_centroids, max_iters: int, tol: float):
+    """Plain Lloyd iteration from ``init_centroids``.
+
+    Each round recomputes every squared distance, gives each empty cluster
+    the farthest point not yet seized (while that point is off its
+    centroid), accumulates each cluster's rows one at a time with
+    ``np.add.at``, and stops once the largest centroid movement is at most
+    ``tol``.  Returns (labels, centroids, inertia, iterations), labels and
+    inertia taken against the final centroids.
+    """
+    X = np.asarray(data, dtype=np.float64)
+    C = np.array(init_centroids, dtype=np.float64, copy=True)
+    k = C.shape[0]
+
+    def sq_distances(C):
+        d2 = (
+            (X * X).sum(axis=1)[:, None]
+            - 2.0 * (X @ C.T)
+            + (C * C).sum(axis=1)[None, :]
+        )
+        return np.clip(d2, 0.0, None)
+
+    iterations = 0
+    for _ in range(max_iters):
+        d2 = sq_distances(C)
+        labels = np.argmin(d2, axis=1)
+        d2min = np.take_along_axis(d2, labels[:, None], axis=1).ravel()
+        seizable = d2min.copy()
+        while (np.bincount(labels, minlength=k) == 0).any():
+            far = int(np.argmax(seizable))
+            if not seizable[far] > 0.0:
+                break
+            empty = int(np.flatnonzero(np.bincount(labels, minlength=k) == 0)[0])
+            labels[far] = empty
+            C[empty] = X[far]
+            seizable[far] = -np.inf
+        sums = np.zeros_like(C)
+        np.add.at(sums, labels, X)
+        counts = np.bincount(labels, minlength=k)
+        updated = C.copy()
+        updated[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        movement = float(np.sqrt(((updated - C) ** 2).sum(axis=1)).max())
+        C = updated
+        iterations += 1
+        if movement <= tol:
+            break
+    d2 = sq_distances(C)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(np.take_along_axis(d2, labels[:, None], axis=1).sum())
+    return labels, C, inertia, iterations
 
 
 def jacobi_eigh_oracle(matrix, sweeps: int = 100, tol: float = 1e-14):

@@ -73,6 +73,22 @@ class TestValidate:
         assert run(["validate", "--input", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_not_utf8_is_data_error(self, tmp_path, small_csv, capsys):
+        bad = tmp_path / "latin1.csv"
+        raw = small_csv.read_bytes()
+        # In the last row, past the first chunk a text-mode reader decodes.
+        offset = raw.rindex(b"\n", 0, len(raw) - 1) + 2
+        assert offset > 8192
+        bad.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1:])
+        assert run(["validate", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("typetaste: error:")
+        assert str(bad) in lines[0]
+        assert f"byte 0xff at offset {offset}" in lines[0]
+
     def test_missing_file(self, capsys):
         assert run(["validate", "--input", "/no/such/file.csv"]) == 1
         capsys.readouterr()

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from typetaste import kmeans
+from typetaste import kmeans, pca
 from typetaste.errors import DimensionMismatch, Error, TooFewPoints
 from typetaste.kmeans import (
+    DEFAULT_MAX_ITERS,
     INIT_KMEANSPP,
     INIT_RANDOM,
     METHOD_PCA,
@@ -17,7 +18,7 @@ from typetaste.kmeans import (
     lloyd,
 )
 
-from oracles import best_partition_sse_oracle
+from oracles import best_partition_sse_oracle, lloyd_oracle
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -171,6 +172,51 @@ class TestLloyd:
         with pytest.raises(DimensionMismatch):
             lloyd(X, np.zeros((2, 4)), KmeansConfig(k=2))
 
+    def test_tol_zero_stops_at_fixed_point(self, survey_dataset):
+        X = survey_dataset.feature_matrix("movies")
+        start = init_kmeanspp(X, 16, seed=0)
+        exact = lloyd(X, start, KmeansConfig(k=16, tol=0.0))
+        default = lloyd(X, start, KmeansConfig(k=16))
+        assert exact.iterations < DEFAULT_MAX_ITERS // 4
+        assert np.array_equal(exact.assignments, default.assignments)
+        assert exact.inertia == default.inertia
+
+
+class TestLloydMatchesOracle:
+    """The library's Lloyd step must reproduce the plain ``np.add.at``
+    reference bit for bit, not just to within rounding."""
+
+    def _check(self, X, start):
+        config = KmeansConfig(k=start.shape[0])
+        result = lloyd(X, start, config)
+        labels, centroids, inertia, iterations = lloyd_oracle(
+            X, start, config.max_iters, config.tol
+        )
+        assert np.array_equal(result.assignments, labels)
+        assert np.array_equal(result.centroids, centroids)
+        assert result.inertia == inertia
+        assert result.iterations == iterations
+        return result
+
+    def test_integer_ratings(self, survey_dataset):
+        X = survey_dataset.feature_matrix("movies")
+        assert np.array_equal(X, np.round(X))
+        for seed in range(3):
+            self._check(X, init_kmeanspp(X, 16, seed))
+
+    def test_pca_projected_floats(self, survey_dataset):
+        X = survey_dataset.feature_matrix("music")
+        Z = pca.project(pca.fit_pca(X, 2), X)
+        for seed in range(3):
+            self._check(Z, init_kmeanspp(Z, 16, seed))
+
+    def test_empty_cluster_repair(self, survey_dataset):
+        # Every centroid starts on the same row, so the first assignment puts
+        # all points in cluster 0 and the other 15 clusters must be repaired.
+        X = survey_dataset.feature_matrix("video-games")
+        result = self._check(X, np.repeat(X[:1], 16, axis=0))
+        assert len(set(result.assignments)) == 16
+
 
 class TestFit:
     def test_fit_deterministic_per_seed(self, rng):
@@ -219,6 +265,13 @@ class TestFit:
         assert result.method == METHOD_PCA
         assert result.centroids.shape == (3, 2)
         assert len(result.assignments) == 40
+
+    def test_space_is_the_clustered_matrix(self, rng):
+        X = rng.normal(size=(40, 12))
+        plain = fit(X, KmeansConfig(k=3, seed=1, restarts=2))
+        assert np.array_equal(plain.space, X)
+        reduced = fit(X, KmeansConfig(k=3, seed=1, reduce_first=2, restarts=2))
+        assert np.array_equal(reduced.space, pca.project(pca.fit_pca(X, 2), X))
 
     def test_method_tags(self, rng):
         X = rng.normal(size=(30, 4))

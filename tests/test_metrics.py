@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from typetaste import kmeans, metrics
+from typetaste import kmeans, metrics, pca
 from typetaste.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -344,6 +344,20 @@ class TestMethodComparison:
             assert first.ari == second.ari
             assert first.ami == second.ami
             assert first.silhouette == second.silhouette
+
+    def test_pca_fitted_once_per_reduced_cell(self, small_dataset, monkeypatch):
+        fits = []
+        real_fit_pca = pca.fit_pca
+
+        def counting_fit_pca(*args, **kwargs):
+            fits.append(args)
+            return real_fit_pca(*args, **kwargs)
+
+        monkeypatch.setattr(pca, "fit_pca", counting_fit_pca)
+        run_method_comparison(
+            small_dataset, k=3, categories=("movies", "music"), seed=2, restarts=2
+        )
+        assert len(fits) == 2  # one per pca-based cell
 
     def test_unknown_method_rejected(self, small_dataset):
         with pytest.raises(Error):
