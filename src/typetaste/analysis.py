@@ -18,27 +18,16 @@ from .domain import (
     ALL_TYPES,
     ENJOYMENT_THRESHOLD,
     RATING_MAX,
+    TYPE_INDEX,
     Dataset,
     MbtiType,
+    coerce_type,
     parse_mbti,
 )
-from .errors import (
-    DimensionMismatch,
-    InvalidMbtiCode,
-    LengthMismatch,
-    SchemaMismatch,
-    UnknownType,
-)
+from .errors import DimensionMismatch, LengthMismatch, SchemaMismatch
 from .kmeans import ClusteringResult
 
 N_RATINGS = RATING_MAX + 1
-
-
-def _coerce_type(mbti: MbtiType | str) -> MbtiType:
-    try:
-        return parse_mbti(mbti)
-    except InvalidMbtiCode:
-        raise UnknownType(f"not a personality type: {mbti!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +75,12 @@ def pair_rating_table(
     The table totals the number of respondents of that type; a type absent
     from the dataset yields an all-zero table.
     """
-    t = _coerce_type(mbti)
+    t = coerce_type(mbti)
     ia = dataset.catalog.index(genre_a)
     ib = dataset.catalog.index(genre_b)
-    counts = np.zeros((N_RATINGS, N_RATINGS), dtype=np.int64)
-    for rec in dataset.records:
-        if rec.mbti is t:
-            counts[rec.ratings[ia], rec.ratings[ib]] += 1
+    rows = dataset.ratings[dataset.type_codes == TYPE_INDEX[t]]
+    cells = rows[:, ia].astype(np.intp) * N_RATINGS + rows[:, ib]
+    counts = np.bincount(cells, minlength=N_RATINGS * N_RATINGS).reshape(N_RATINGS, N_RATINGS)
     return PairRatingTable(mbti=t, genre_a=genre_a, genre_b=genre_b, counts=counts)
 
 
@@ -108,10 +96,6 @@ def pair_table_to_csv(table: PairRatingTable) -> str:
     for i in range(N_RATINGS):
         writer.writerow([int(x) for x in table.counts[i]])
     return buf.getvalue()
-
-
-def write_pair_table_csv(path: str | Path, table: PairRatingTable) -> None:
-    Path(path).write_text(pair_table_to_csv(table), encoding="utf-8")
 
 
 @dataclass(frozen=True)

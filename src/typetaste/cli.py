@@ -14,7 +14,8 @@ from typing import Sequence
 
 from . import __version__
 from . import analysis, ingest, kmeans, metrics, pca, recommend
-from .domain import Dataset, GenreCatalog, default_catalog, load_catalog, parse_mbti
+from .domain import MAX_SEED, Dataset, GenreCatalog, default_catalog, load_catalog, parse_mbti
+from .domain import read_utf8
 from .errors import Error, InvalidMbtiCode
 
 PROG = "typetaste"
@@ -25,7 +26,7 @@ def _seed_arg(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value < 2**64:
+    if not 0 <= value <= MAX_SEED:
         raise argparse.ArgumentTypeError(f"seed must fit in unsigned 64 bits, got {value}")
     return value
 
@@ -79,7 +80,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         frequencies = ingest.survey_frequency_table()
     else:
         try:
-            doc = json.loads(Path(args.freq_file).read_text(encoding="utf-8"))
+            doc = json.loads(read_utf8(args.freq_file))
         except json.JSONDecodeError as exc:
             raise Error(f"invalid JSON in {args.freq_file}: {exc}") from None
         if not isinstance(doc, dict):
@@ -123,7 +124,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
     methods = args.method or list(metrics.ALL_METHODS)
-    methods = [kmeans.METHOD_PCA if m == "pca" else m for m in methods]
     categories = args.category or None
     if categories:
         for name in categories:

@@ -5,12 +5,14 @@ catalog, and the survey record/dataset containers every other module builds on.
 from __future__ import annotations
 
 import csv
+import io
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,8 +21,10 @@ from .errors import (
     DuplicateRespondent,
     InvalidMbtiCode,
     InvalidRating,
+    Error,
     SchemaMismatch,
     UnknownGenre,
+    UnknownType,
 )
 
 
@@ -84,6 +88,10 @@ class MbtiType(str, Enum):
 # Members are declared alphabetically, so this is also sorted order.
 ALL_TYPES: tuple[MbtiType, ...] = tuple(MbtiType)
 
+# The code that stands for each type in a dataset's ``type_codes`` column: its
+# index in ALL_TYPES.  Lowercase code strings look up the same entries.
+TYPE_INDEX: Mapping[MbtiType, int] = {t: i for i, t in enumerate(ALL_TYPES)}
+
 
 def parse_mbti(text: str) -> MbtiType:
     """Parse a four-letter personality code, case-insensitively."""
@@ -95,6 +103,26 @@ def parse_mbti(text: str) -> MbtiType:
         except ValueError:
             pass
     raise InvalidMbtiCode(f"not a valid personality code: {text!r}")
+
+
+def coerce_type(mbti: MbtiType | str) -> MbtiType:
+    """Parse a personality type asked for by a caller; an invalid code raises
+    :class:`UnknownType`."""
+    try:
+        return parse_mbti(mbti)
+    except InvalidMbtiCode:
+        raise UnknownType(f"not a personality type: {mbti!r}") from None
+
+
+MAX_SEED = 2**64 - 1
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` as an int, or raise :class:`Error` unless it is an
+    unsigned 64-bit integer."""
+    if not 0 <= int(seed) <= MAX_SEED:
+        raise Error(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return int(seed)
 
 
 RATING_MIN = 0
@@ -275,25 +303,40 @@ def save_catalog(catalog: GenreCatalog, path: str | Path) -> None:
                 writer.writerow([name, genre])
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of the file at ``path``, read once and decoded as UTF-8.
+
+    Bytes that are not UTF-8 raise :class:`SchemaMismatch` naming the file,
+    the first such byte and its offset in the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
 def load_catalog(path: str | Path) -> GenreCatalog:
     """Read a ``category,genre`` CSV written by :func:`save_catalog`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CATALOG_HEADER):
-            raise SchemaMismatch(
-                f"catalog header must be {','.join(CATALOG_HEADER)!r}, got {header}"
-            )
-        groups: list[tuple[str, list[str]]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaMismatch(f"catalog line {lineno}: expected 2 columns")
-            name, genre = row
-            if not groups or groups[-1][0] != name:
-                groups.append((name, []))
-            groups[-1][1].append(genre)
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header = next(reader, None)
+    if header != list(CATALOG_HEADER):
+        raise SchemaMismatch(
+            f"catalog header must be {','.join(CATALOG_HEADER)!r}, got {header}"
+        )
+    groups: list[tuple[str, list[str]]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise SchemaMismatch(f"catalog line {lineno}: expected 2 columns")
+        name, genre = row
+        if not groups or groups[-1][0] != name:
+            groups.append((name, []))
+        groups[-1][1].append(genre)
     return GenreCatalog(tuple((name, tuple(genres)) for name, genres in groups))
 
 
@@ -313,75 +356,147 @@ class SurveyRecord:
             self, "ratings", tuple(check_rating(r) for r in self.ratings)
         )
 
+    @classmethod
+    def _row(cls, respondent_id: str, mbti: MbtiType, ratings: tuple[int, ...]) -> "SurveyRecord":
+        """A record of one dataset row, whose values the dataset has already
+        validated, so they are not checked again."""
+        record = object.__new__(cls)
+        record.__dict__.update(respondent_id=respondent_id, mbti=mbti, ratings=ratings)
+        return record
+
     def rating_for(self, catalog: GenreCatalog, genre: str) -> int:
         return self.ratings[catalog.index(genre)]
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable survey table: a catalog plus one record per respondent.
+def repeated_ids(ids: Sequence[str]) -> np.ndarray:
+    """Mask of the rows whose id already appeared in an earlier row."""
+    # Built from the last row back, so each id keeps its first row.
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, ids), np.intp, len(ids)) != np.arange(len(ids))
 
-    Every record must have exactly one rating per catalog genre and respondent
-    ids must be unique.  Matrix accessors return fresh arrays, so callers can
-    mutate them freely.
+
+@dataclass(frozen=True, eq=False, init=False)
+class Dataset:
+    """An immutable survey table: a catalog plus three row-aligned columns.
+
+    ``respondent_ids`` is a tuple of unique non-empty ids, ``type_codes`` an
+    int8 array of :data:`TYPE_INDEX` codes, and ``ratings`` a read-only int8
+    (n_respondents, n_genres) matrix of 0..6 ratings in catalog column order.
+    :meth:`from_columns` validates and copies the columns;
+    ``Dataset(catalog, records)`` builds them from :class:`SurveyRecord` rows.
+    Equal datasets have equal catalogs and columns.  Matrix accessors return
+    fresh arrays, so callers can mutate them freely.
     """
 
     catalog: GenreCatalog
-    records: tuple[SurveyRecord, ...]
+    respondent_ids: tuple[str, ...]
+    type_codes: np.ndarray
+    ratings: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        width = len(self.catalog)
-        seen: set[str] = set()
-        for rec in self.records:
-            if len(rec.ratings) != width:
-                raise SchemaMismatch(
-                    f"record {rec.respondent_id!r} has {len(rec.ratings)} ratings, "
-                    f"catalog has {width} genres"
-                )
-            if rec.respondent_id in seen:
-                raise DuplicateRespondent(f"duplicate respondent id: {rec.respondent_id!r}")
-            seen.add(rec.respondent_id)
+    def __init__(self, catalog: GenreCatalog, records: Iterable[SurveyRecord]) -> None:
+        records = tuple(records)
+        rows = list(map(operator.attrgetter("ratings"), records))
+        misfits = np.fromiter(map(len, rows), np.intp, len(rows)) != len(catalog)
+        if misfits.any():
+            rec = records[misfits.argmax()]
+            raise SchemaMismatch(
+                f"record {rec.respondent_id!r} has {len(rec.ratings)} ratings, "
+                f"catalog has {len(catalog)} genres"
+            )
+        ids = map(operator.attrgetter("respondent_id"), records)
+        codes = map(TYPE_INDEX.__getitem__, map(operator.attrgetter("mbti"), records))
+        ratings = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * len(catalog))
+        self._set_columns(
+            catalog,
+            ids,
+            np.fromiter(codes, np.int8, len(records)),
+            ratings.reshape(len(records), len(catalog)),
+        )
+        self.__dict__["records"] = records
+
+    @classmethod
+    def from_columns(cls, catalog: GenreCatalog, respondent_ids, type_codes, ratings) -> Dataset:
+        """A dataset of the given columns (an id iterable, type codes and an
+        (n, n_genres) rating array), validated and copied."""
+        dataset = cls.__new__(cls)
+        dataset._set_columns(catalog, respondent_ids, type_codes, ratings)
+        return dataset
+
+    def _set_columns(self, catalog, respondent_ids, type_codes, ratings) -> None:
+        ids = tuple(respondent_ids)
+        codes = np.asarray(type_codes)
+        matrix = np.asarray(ratings)
+        if set(map(type, ids)) - {str} or "" in ids:
+            raise SchemaMismatch("respondent id must be a non-empty string")
+        if codes.shape != (len(ids),) or not np.isin(codes, range(len(ALL_TYPES))).all():
+            raise SchemaMismatch(f"type codes must be {len(ids)} indices into ALL_TYPES")
+        if matrix.shape != (len(ids), len(catalog)):
+            raise SchemaMismatch(
+                f"rating matrix has shape {matrix.shape}, expected ({len(ids)}, {len(catalog)})"
+            )
+        if matrix.size and matrix.dtype.kind not in "iu":
+            raise InvalidRating(f"ratings must be integers, got dtype {matrix.dtype}")
+        outside = (matrix < RATING_MIN) | (matrix > RATING_MAX)
+        if outside.any():
+            raise InvalidRating(f"rating must be in 0..6, got {matrix[outside][0]}")
+        repeats = repeated_ids(ids)
+        if repeats.any():
+            raise DuplicateRespondent(f"duplicate respondent id: {ids[repeats.argmax()]!r}")
+        codes = codes.astype(np.int8)
+        matrix = matrix.astype(np.int8)
+        codes.flags.writeable = matrix.flags.writeable = False
+        self.__dict__.update(catalog=catalog, respondent_ids=ids, type_codes=codes, ratings=matrix)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.respondent_ids)
 
-    @cached_property
-    def respondent_ids(self) -> tuple[str, ...]:
-        return tuple(rec.respondent_id for rec in self.records)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.catalog == other.catalog
+            and self.respondent_ids == other.respondent_ids
+            and np.array_equal(self.type_codes, other.type_codes)
+            and np.array_equal(self.ratings, other.ratings)
+        )
 
     @cached_property
     def types(self) -> tuple[MbtiType, ...]:
         """Per-respondent personality labels, aligned with matrix rows."""
-        return tuple(rec.mbti for rec in self.records)
+        return tuple(map(ALL_TYPES.__getitem__, self.type_codes.tolist()))
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
-        m = np.array([rec.ratings for rec in self.records], dtype=np.int64)
-        return m.reshape(len(self.records), len(self.catalog))
+    def records(self) -> tuple[SurveyRecord, ...]:
+        """One record per row, built from the columns on first use."""
+        rows = map(tuple, self.ratings.tolist())
+        return tuple(map(SurveyRecord._row, self.respondent_ids, self.types, rows))
 
     @cached_property
-    def _by_id(self) -> dict[str, SurveyRecord]:
-        return {rec.respondent_id: rec for rec in self.records}
+    def _row_of(self) -> dict[str, int]:
+        return dict(zip(self.respondent_ids, range(len(self))))
 
     def record(self, respondent_id: str) -> SurveyRecord:
         try:
-            return self._by_id[respondent_id]
+            row = self._row_of[respondent_id]
         except KeyError:
             raise SchemaMismatch(f"no such respondent: {respondent_id!r}") from None
+        return SurveyRecord._row(
+            respondent_id, ALL_TYPES[self.type_codes[row]], tuple(self.ratings[row].tolist())
+        )
 
     def rating_matrix(self, dtype=np.int64) -> np.ndarray:
         """Full (n_respondents, n_genres) rating matrix as a new array."""
-        return self._matrix.astype(dtype, copy=True)
+        return self.ratings.astype(dtype)
 
     def feature_matrix(self, category: str | None = None) -> np.ndarray:
         """Float rating matrix, optionally restricted to one category's columns."""
-        m = self._matrix
+        m = self.ratings
         if category is not None:
             m = m[:, self.catalog.category_slice(category)]
-        return m.astype(np.float64, copy=True)
+        return m.astype(np.float64)
 
     def restrict_types(self, types: Iterable[MbtiType | str]) -> "Dataset":
         """Subset with only the given personality types, preserving row order."""
-        wanted = {parse_mbti(t) for t in types}
-        return Dataset(self.catalog, tuple(r for r in self.records if r.mbti in wanted))
+        keep = np.isin(self.type_codes, [TYPE_INDEX[parse_mbti(t)] for t in types])
+        ids = compress(self.respondent_ids, keep.tolist())
+        return Dataset.from_columns(self.catalog, ids, self.type_codes[keep], self.ratings[keep])

@@ -11,8 +11,9 @@ import io
 import json
 import re
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -21,14 +22,18 @@ import numpy as np
 from .domain import (
     ALL_TYPES,
     PSYCHOLOGY,
+    RATING_MAX,
     RELIGION_SPIRITUALITY,
+    TYPE_INDEX,
     Dataset,
     GenreCatalog,
     MbtiType,
-    SurveyRecord,
+    check_seed,
     default_catalog,
     load_catalog,
     parse_mbti,
+    read_utf8,
+    repeated_ids,
 )
 from .errors import (
     DuplicateRespondent,
@@ -41,8 +46,6 @@ from .errors import (
 # Respondent ids must be filename- and URL-safe so downstream CSV never needs
 # quoting in the id column.
 RESPONDENT_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-
-MAX_SEED = 2**64 - 1
 
 # Per-type respondent counts of the 1020-entry reference survey, the profile
 # behind the ``synth --paper-frequencies`` flag.  Insertion order is
@@ -186,9 +189,7 @@ class SynthConfig:
     rating_model: RatingModel | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) <= MAX_SEED:
-            raise Error(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.frequencies.total <= 0:
             raise Error("frequency table must have at least one respondent")
         if self.rating_model is None:
@@ -222,7 +223,7 @@ def synth_config_from_json(source: str | Path | Mapping) -> SynthConfig:
         path = Path(source)
         base = path.parent
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(read_utf8(path))
         except json.JSONDecodeError as exc:
             raise Error(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(doc, dict):
@@ -267,35 +268,55 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
     model = config.rating_model
     width = len(config.catalog)
-    records: list[SurveyRecord] = []
+    ids: list[str] = []
+    codes: list[int] = []
+    blocks: list[np.ndarray] = []
     for ti, t in enumerate(ALL_TYPES):
         count = config.frequencies.count(t)
         if count == 0:
             continue
         raw = rng.normal(loc=model.means[ti], scale=model.dispersion, size=(count, width))
-        values = np.clip(np.rint(raw), 0, 6).astype(np.int64)
-        for i in range(count):
-            records.append(
-                SurveyRecord(f"{t.value}-{i:03d}", t, tuple(int(v) for v in values[i]))
-            )
-    return Dataset(config.catalog, tuple(records))
+        blocks.append(np.clip(np.rint(raw), 0, 6).astype(np.int8))
+        ids.extend(map(f"{t.value}-{{:03d}}".format, range(count)))
+        codes.extend(repeat(ti, count))
+    return Dataset.from_columns(config.catalog, ids, codes, np.concatenate(blocks))
 
 
 def _dataset_header(catalog: GenreCatalog) -> list[str]:
     return ["respondent_id", "mbti", *catalog.genres]
 
 
-def _utf8_error(path: str | Path) -> str:
-    """Where the first byte that is not UTF-8 sits in the file at ``path``.
+_SINGLE_DIGIT = {str(v): v for v in range(RATING_MAX + 1)}
+_RATING_CELLS = itemgetter(slice(2, None))
 
-    A text-mode reader decodes in chunks, so its error offsets are relative to
-    a chunk; decoding the whole file again gives the offset in the file.
-    """
-    try:
-        Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
-    return "not UTF-8 text"
+
+def _read_row(
+    lineno: int, row: list[str], catalog: GenreCatalog, repeated: bool
+) -> tuple[int, list[int]]:
+    """Type code and ratings of one data row, or the error of its first bad
+    cell; ``repeated`` tells whether an earlier row has the same id."""
+    expected = len(catalog) + 2
+    if len(row) != expected:
+        raise SchemaMismatch(f"line {lineno}: expected {expected} columns, got {len(row)}")
+    rid = row[0]
+    if not RESPONDENT_ID_RE.match(rid):
+        raise SchemaMismatch(
+            f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
+        )
+    if repeated:
+        raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
+    mbti = parse_mbti(row[1])
+    ratings = []
+    for cell, genre in zip(row[2:], catalog.genres):
+        if not (cell.isascii() and cell.isdigit()):
+            raise InvalidRating(
+                f"line {lineno}, column {genre!r}: ratings must be integers 0..6, got {cell!r}"
+            )
+        value = int(cell)
+        if value > RATING_MAX:
+            raise InvalidRating(f"line {lineno}, column {genre!r}: rating out of range: {value}")
+        ratings.append(value)
+    return TYPE_INDEX[mbti], ratings
 
 
 def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Dataset:
@@ -303,67 +324,53 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
     when omitted).
 
     The header must match the catalog's genre columns exactly and in order;
-    any malformed cell raises with its row position.
+    the first malformed row in the file raises with its line number.  Blank
+    lines are skipped.
     """
     catalog = catalog if catalog is not None else default_catalog()
     expected = _dataset_header(catalog)
-    records: list[SurveyRecord] = []
-    seen: set[str] = set()
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected:
-                raise SchemaMismatch(
-                    f"header does not match catalog ({len(expected)} columns expected); "
-                    f"got {header[:4] if header else header}..."
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected):
-                    raise SchemaMismatch(
-                        f"line {lineno}: expected {len(expected)} columns, got {len(row)}"
-                    )
-                rid = row[0]
-                if not RESPONDENT_ID_RE.match(rid):
-                    raise SchemaMismatch(
-                        f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
-                    )
-                if rid in seen:
-                    raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
-                seen.add(rid)
-                mbti = parse_mbti(row[1])
-                ratings = []
-                for cell, genre in zip(row[2:], catalog.genres):
-                    if not (cell.isascii() and cell.isdigit()):
-                        raise InvalidRating(
-                            f"line {lineno}, column {genre!r}: ratings must be "
-                            f"integers 0..6, got {cell!r}"
-                        )
-                    value = int(cell)
-                    if value > 6:
-                        raise InvalidRating(
-                            f"line {lineno}, column {genre!r}: rating out of range: {value}"
-                        )
-                    ratings.append(value)
-                records.append(SurveyRecord(rid, mbti, tuple(ratings)))
-    except UnicodeDecodeError:
-        raise SchemaMismatch(f"{path}: {_utf8_error(path)}") from None
-    return Dataset(catalog, tuple(records))
+    body = list(csv.reader(io.StringIO(read_utf8(path), newline="")))
+    header = body[0] if body else None
+    if header != expected:
+        raise SchemaMismatch(
+            f"header does not match catalog ({len(expected)} columns expected); "
+            f"got {header[:4] if header else header}..."
+        )
+    lines = np.flatnonzero(np.fromiter(map(len, body), np.intp, len(body)))[1:] + 1
+    rows = list(filter(None, body))[1:]
+    # Rows up to the first one of the wrong length are checked in bulk.
+    misfits = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != len(expected))
+    n = int(misfits[0]) if misfits.size else len(rows)
+    ids = list(map(itemgetter(0), rows[:n]))
+    types = map(str.lower, map(itemgetter(1), rows[:n]))
+    codes = np.fromiter(map(TYPE_INDEX.get, types, repeat(-1)), np.int8, n)
+    # -1 marks each cell that is not one of "0".."6", to be read by the row rule.
+    cells = chain.from_iterable(map(_RATING_CELLS, rows[:n]))
+    ratings = np.fromiter(map(_SINGLE_DIGIT.get, cells, repeat(-1)), np.int8, n * len(catalog))
+    ratings = ratings.reshape(n, len(catalog))
+    repeated = repeated_ids(ids)
+    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.match, ids)), bool, n)
+    suspects = ~id_ok | repeated | (codes < 0) | (ratings < 0).any(axis=1)
+    # The row rule raises the first error in file order, or reads a row whose
+    # odd cells are valid (such as "06").
+    for i in np.flatnonzero(suspects).tolist():
+        codes[i], ratings[i] = _read_row(int(lines[i]), rows[i], catalog, bool(repeated[i]))
+    if misfits.size:
+        _read_row(int(lines[n]), rows[n], catalog, False)  # raises: wrong length
+    return Dataset.from_columns(catalog, ids, codes, ratings)
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
     """Serialize a dataset to its canonical CSV text (LF line endings)."""
+    ids = dataset.respondent_ids
+    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.match, ids)), bool, len(ids))
+    if not id_ok.all():
+        raise SchemaMismatch(f"respondent id not serializable: {ids[id_ok.argmin()]!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_dataset_header(dataset.catalog))
-    for rec in dataset.records:
-        if not RESPONDENT_ID_RE.match(rec.respondent_id):
-            raise SchemaMismatch(
-                f"respondent id not serializable: {rec.respondent_id!r}"
-            )
-        writer.writerow([rec.respondent_id, rec.mbti.value, *rec.ratings])
+    types = map(attrgetter("value"), dataset.types)
+    writer.writerows(zip(ids, types, *dataset.ratings.T.tolist()))
     return buf.getvalue()
 
 
@@ -374,7 +381,8 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def type_frequencies(dataset: Dataset) -> TypeFrequencyTable:
     """Observed respondent counts per type."""
-    return TypeFrequencyTable(Counter(rec.mbti for rec in dataset.records))
+    counts = np.bincount(dataset.type_codes, minlength=len(ALL_TYPES))
+    return TypeFrequencyTable(dict(zip(ALL_TYPES, counts.tolist())))
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import pca
+from .domain import check_seed
 from .errors import DimensionMismatch, Error, TooFewPoints
 
 INIT_KMEANSPP = "kmeans++"
@@ -57,8 +57,7 @@ class KmeansConfig:
             raise Error(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.tol >= 0:
             raise Error(f"tol must be non-negative, got {self.tol}")
-        if not 0 <= int(self.seed) <= 2**64 - 1:
-            raise Error(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
         if self.restarts < 1:
             raise Error(f"restarts must be at least 1, got {self.restarts}")
 
@@ -321,9 +320,3 @@ def assignments_to_csv(result: ClusteringResult, respondent_ids: Sequence[str]) 
     for rid, label in zip(respondent_ids, result.assignments):
         writer.writerow([rid, int(label)])
     return buf.getvalue()
-
-
-def write_assignments_csv(
-    path: str | Path, result: ClusteringResult, respondent_ids: Sequence[str]
-) -> None:
-    Path(path).write_text(assignments_to_csv(result, respondent_ids), encoding="utf-8")

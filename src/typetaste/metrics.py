@@ -327,19 +327,17 @@ REPORT_COLUMNS: tuple[str, ...] = (
 
 
 def _method_config(method: str, k: int, seed: int, restarts: int, pca_dims: int) -> km.KmeansConfig:
-    if method == km.INIT_KMEANSPP:
-        return km.KmeansConfig(k=k, init=km.INIT_KMEANSPP, seed=seed, restarts=restarts)
-    if method == km.INIT_RANDOM:
-        return km.KmeansConfig(k=k, init=km.INIT_RANDOM, seed=seed, restarts=restarts)
-    if method in (km.METHOD_PCA, "pca"):
-        return km.KmeansConfig(
-            k=k,
-            init=km.INIT_KMEANSPP,
-            reduce_first=pca_dims,
-            seed=seed,
-            restarts=restarts,
-        )
-    raise Error(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    """The fit a comparison method names; ``pca`` is short for ``pca-based``."""
+    method = km.METHOD_PCA if method == "pca" else method
+    if method not in ALL_METHODS:
+        raise Error(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    return km.KmeansConfig(
+        k=k,
+        init=km.INIT_RANDOM if method == km.INIT_RANDOM else km.INIT_KMEANSPP,
+        reduce_first=pca_dims if method == km.METHOD_PCA else None,
+        seed=seed,
+        restarts=restarts,
+    )
 
 
 def run_method_comparison(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -121,8 +120,3 @@ def projection_to_csv(
         writer.writerow([rid, str(label), *(repr(float(v)) for v in row)])
     return buf.getvalue()
 
-
-def write_projection_csv(
-    path: str | Path, ids: Sequence[str], labels: Sequence[str], coords: np.ndarray
-) -> None:
-    Path(path).write_text(projection_to_csv(ids, labels, coords), encoding="utf-8")

@@ -21,9 +21,9 @@ from .domain import (
     GenreCatalog,
     MbtiType,
     SurveyRecord,
-    parse_mbti,
+    coerce_type,
 )
-from .errors import Error, InvalidMbtiCode, UnknownType
+from .errors import EmptyInput, Error
 
 DISLIKE_MAX = 2
 DEFAULT_MIN_SUPPORT = 5
@@ -31,13 +31,6 @@ DEFAULT_TOP_N = 10
 
 STRATEGY_TYPE_PROFILE = "type-profile"
 STRATEGY_BLENDED = "blended"
-
-
-def _coerce_type(mbti: MbtiType | str) -> MbtiType:
-    try:
-        return parse_mbti(mbti)
-    except InvalidMbtiCode:
-        raise UnknownType(f"not a personality type: {mbti!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +63,7 @@ class ProfileSet(Mapping):
         self._profiles = dict(profiles)
 
     def __getitem__(self, mbti: MbtiType | str) -> TypeProfile:
-        return self._profiles[_coerce_type(mbti)]
+        return self._profiles[coerce_type(mbti)]
 
     def __iter__(self) -> Iterator[MbtiType]:
         return iter(self._profiles)
@@ -83,25 +76,25 @@ def build_profiles(dataset: Dataset) -> ProfileSet:
     """Aggregate every type's ratings into a :class:`ProfileSet`.
 
     Types with no respondents get all-NaN means and zero support, which the
-    recommenders treat as "no evidence" rather than an error.
+    recommenders treat as "no evidence" rather than an error; a dataset with
+    no respondents at all raises :class:`EmptyInput`.
     """
-    matrix = dataset.rating_matrix(dtype=np.float64)
-    type_rows = {t: [] for t in ALL_TYPES}
-    for i, rec in enumerate(dataset.records):
-        type_rows[rec.mbti].append(i)
-    profiles: dict[MbtiType, TypeProfile] = {}
-    width = len(dataset.catalog)
-    for t, rows in type_rows.items():
-        block = matrix[rows] if rows else np.empty((0, width))
-        experienced = block > 0
-        support = experienced.sum(axis=0).astype(np.int64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(support > 0, block.sum(axis=0) / support, np.nan)
-            enjoyed = (block >= ENJOYMENT_THRESHOLD).sum(axis=0)
-            share = np.where(support > 0, enjoyed / support, np.nan)
-        profiles[t] = TypeProfile(
-            mbti=t, mean=mean, enjoyment_share=share, support=support
-        )
+    if len(dataset) == 0:
+        raise EmptyInput("dataset has no respondents")
+    ratings = dataset.ratings
+    # Per-type column sums as products with the (types, rows) membership
+    # matrix; they add small integers, so they are exact in float64.
+    members = (dataset.type_codes == np.arange(len(ALL_TYPES))[:, None]).astype(np.float64)
+    totals = members @ ratings.astype(np.float64)
+    support = (members @ (ratings > 0)).astype(np.int64)
+    enjoyed = members @ (ratings >= ENJOYMENT_THRESHOLD)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = np.where(support > 0, totals / support, np.nan)
+        shares = np.where(support > 0, enjoyed / support, np.nan)
+    profiles = {
+        t: TypeProfile(mbti=t, mean=means[i], enjoyment_share=shares[i], support=support[i])
+        for i, t in enumerate(ALL_TYPES)
+    }
     return ProfileSet(dataset.catalog, profiles)
 
 
@@ -160,7 +153,7 @@ def recommend_for_type(
     genres with fewer than ``min_support`` raters are flagged, not dropped.
     ``category`` restricts candidates to one catalog category.
     """
-    t = _coerce_type(mbti)
+    t = coerce_type(mbti)
     profile = profiles[t]
     catalog = profiles.catalog
     scores = np.nan_to_num(profile.mean, nan=0.0)

@@ -8,15 +8,22 @@ cyclic Jacobi rotations, and silhouettes from a direct O(n^2) loop.  The
 Lloyd reference is the exception: it must match the library bit for bit, so
 it uses the same distance expression but the plainest route for everything
 else (full recomputation each round, one-row-at-a-time ``np.add.at`` sums).
+The survey oracles read, tally and average one record at a time, as the
+package did before it held the survey as columns.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
+
+from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, default_catalog, parse_mbti
+from typetaste.errors import DuplicateRespondent, InvalidRating, SchemaMismatch
+from typetaste.ingest import RESPONDENT_ID_RE
 
 
 def entropy_oracle(labels) -> float:
@@ -232,3 +239,82 @@ def jacobi_eigh_oracle(matrix, sweeps: int = 100, tol: float = 1e-14):
     eigenvalues = np.diag(A).copy()
     order = np.argsort(eigenvalues)[::-1]
     return eigenvalues[order], V[:, order]
+
+
+def load_dataset_oracle(path, catalog=None):
+    """Row-by-row survey CSV reader: (ids, types, int64 rating matrix), or the
+    first error in the file, checked cell by cell in file order."""
+    catalog = catalog if catalog is not None else default_catalog()
+    expected = ["respondent_id", "mbti", *catalog.genres]
+    ids, types, matrix = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise SchemaMismatch(
+                f"header does not match catalog ({len(expected)} columns expected); "
+                f"got {header[:4] if header else header}..."
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(expected):
+                raise SchemaMismatch(
+                    f"line {lineno}: expected {len(expected)} columns, got {len(row)}"
+                )
+            rid = row[0]
+            if not RESPONDENT_ID_RE.match(rid):
+                raise SchemaMismatch(
+                    f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
+                )
+            if rid in ids:
+                raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
+            mbti = parse_mbti(row[1])
+            ratings = []
+            for cell, genre in zip(row[2:], catalog.genres):
+                if not (cell.isascii() and cell.isdigit()):
+                    raise InvalidRating(
+                        f"line {lineno}, column {genre!r}: ratings must be "
+                        f"integers 0..6, got {cell!r}"
+                    )
+                value = int(cell)
+                if value > 6:
+                    raise InvalidRating(
+                        f"line {lineno}, column {genre!r}: rating out of range: {value}"
+                    )
+                ratings.append(value)
+            ids.append(rid)
+            types.append(mbti)
+            matrix.append(ratings)
+    return tuple(ids), tuple(types), np.array(matrix, dtype=np.int64).reshape(-1, len(catalog))
+
+
+def profiles_oracle(records, n_genres):
+    """Per-type (mean, enjoyment share, support) over experienced raters,
+    tallied one record at a time; NaN where a type has no rater."""
+    sums = {t: [0] * n_genres for t in ALL_TYPES}
+    raters = {t: [0] * n_genres for t in ALL_TYPES}
+    enjoyers = {t: [0] * n_genres for t in ALL_TYPES}
+    for rec in records:
+        for g, rating in enumerate(rec.ratings):
+            if rating > 0:
+                sums[rec.mbti][g] += rating
+                raters[rec.mbti][g] += 1
+                enjoyers[rec.mbti][g] += rating >= ENJOYMENT_THRESHOLD
+    out = {}
+    for t in ALL_TYPES:
+        support = np.array(raters[t], dtype=np.int64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.where(support > 0, np.array(sums[t]) / support, np.nan)
+            share = np.where(support > 0, np.array(enjoyers[t]) / support, np.nan)
+        out[t] = (mean, share, support)
+    return out
+
+
+def pair_table_oracle(records, mbti, ia, ib):
+    """7x7 joint counts of two rating columns among one type's records."""
+    counts = np.zeros((7, 7), dtype=np.int64)
+    for rec in records:
+        if rec.mbti is mbti:
+            counts[rec.ratings[ia], rec.ratings[ib]] += 1
+    return counts

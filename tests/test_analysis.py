@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import pair_table_oracle
 from typetaste import analysis, kmeans, metrics, pca
 from typetaste.analysis import (
     cluster_composition,
@@ -46,6 +47,17 @@ def pair_dataset():
 
 
 class TestPairRatingTable:
+    def test_matches_record_by_record_tally(self, survey_dataset):
+        cat = survey_dataset.catalog
+        for t, a, b in [
+            (MbtiType.INTP, "Psychology", "Religion & Spirituality"),
+            (MbtiType.ESFJ, "music_03", "movies_20"),
+            (MbtiType.INFJ, "games_10", "fiction_00"),
+        ]:
+            table = pair_rating_table(survey_dataset, t, a, b)
+            expected = pair_table_oracle(survey_dataset.records, t, cat.index(a), cat.index(b))
+            assert np.array_equal(table.counts, expected)
+
     def test_cells_and_total(self, pair_dataset):
         table = pair_rating_table(
             pair_dataset, "intp", "Psychology", "Religion & Spirituality"

@@ -73,14 +73,26 @@ class TestValidate:
         assert run(["validate", "--input", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_not_utf8_is_data_error(self, tmp_path, small_csv, capsys):
+    @pytest.mark.parametrize("case", ["survey", "freq-file", "catalog"])
+    def test_not_utf8_is_data_error(self, tmp_path, small_csv, capsys, case):
         bad = tmp_path / "latin1.csv"
-        raw = small_csv.read_bytes()
-        # In the last row, past the first chunk a text-mode reader decodes.
-        offset = raw.rindex(b"\n", 0, len(raw) - 1) + 2
-        assert offset > 8192
+        if case == "survey":
+            raw = small_csv.read_bytes()
+            # In the last row, past the first chunk a text-mode reader decodes.
+            offset = raw.rindex(b"\n", 0, len(raw) - 1) + 2
+            assert offset > 8192
+            argv = ["validate", "--input", str(bad)]
+        elif case == "freq-file":
+            raw = json.dumps({"intp": 3, "enfj": 2}).encode()
+            offset = raw.index(b"enfj")
+            argv = ["synth", "--freq-file", str(bad)]
+        else:
+            save_catalog(default_catalog(), bad)
+            raw = bad.read_bytes()
+            offset = raw.index(b"music_07")
+            argv = ["validate", "--input", str(small_csv), "--catalog", str(bad)]
         bad.write_bytes(raw[:offset] + b"\xff" + raw[offset + 1:])
-        assert run(["validate", "--input", str(bad)]) == 1
+        assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -250,6 +262,14 @@ class TestRecommend:
         ])
         assert code == 0
         assert "(blended)" in capsys.readouterr().out
+
+    def test_survey_without_rows_is_data_error(self, tmp_path, small_csv, capsys):
+        empty = tmp_path / "header_only.csv"
+        empty.write_text(small_csv.read_text().split("\n", 1)[0] + "\n")
+        assert run(["recommend", "--input", str(empty), "--type", "intp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "typetaste: error: dataset has no respondents\n"
 
     def test_missing_selector_is_data_error(self, small_csv, capsys):
         assert run(["recommend", "--input", str(small_csv)]) == 1

@@ -273,3 +273,33 @@ class TestDataset:
         sub = ds.restrict_types(["INTP"])
         assert sub.respondent_ids == ("a-1", "c-3")
         assert sub.catalog is cat
+
+    def test_columns_and_record_views(self):
+        cat = default_catalog()
+        records = (_record("a-1", "intp", fill=0), _record("b-2", "enfj", fill=6))
+        ds = Dataset(cat, records)
+        assert ds.type_codes.tolist() == [ALL_TYPES.index(MbtiType.INTP), 0]
+        assert ds.ratings.dtype == np.int8 and ds.ratings.shape == (2, 121)
+        with pytest.raises(ValueError):
+            ds.ratings[0, 0] = 1
+        rebuilt = Dataset.from_columns(cat, ds.respondent_ids, ds.type_codes, ds.ratings)
+        assert rebuilt == ds
+        assert rebuilt.records == records
+        assert rebuilt.record("b-2") == records[1]
+        assert Dataset(cat, rebuilt.records) == ds
+
+    @pytest.mark.parametrize(
+        "ids, codes, ratings, error",
+        [
+            (("a", "b"), (0, 1), np.full((2, 120), 3), SchemaMismatch),
+            (("a", "b"), (0, 1), np.full((121, 2), 3), SchemaMismatch),
+            (("a", "b"), (0, 16), np.full((2, 121), 3), SchemaMismatch),
+            (("a", ""), (0, 1), np.full((2, 121), 3), SchemaMismatch),
+            (("a", "b"), (0, 1), np.full((2, 121), 7), InvalidRating),
+            (("a", "b"), (0, 1), np.full((2, 121), 2.5), InvalidRating),
+            (("a", "a"), (0, 1), np.full((2, 121), 3), DuplicateRespondent),
+        ],
+    )
+    def test_from_columns_validates(self, ids, codes, ratings, error):
+        with pytest.raises(error):
+            Dataset.from_columns(default_catalog(), ids, codes, ratings)

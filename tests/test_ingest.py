@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import load_dataset_oracle
 from typetaste import ingest
 from typetaste.domain import ALL_TYPES, Dataset, MbtiType, default_catalog, save_catalog
 from typetaste.errors import (
@@ -148,6 +149,12 @@ class TestSynthConfig:
         assert config.seed == 9
         assert config.frequencies.total == 6
 
+    def test_from_json_file_not_utf8(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"frequencies": {"\xffntp": 2}}')
+        with pytest.raises(SchemaMismatch, match="not UTF-8 text: byte 0xff at offset 18"):
+            synth_config_from_json(path)
+
     def test_from_json_file_with_catalog(self, tmp_path):
         save_catalog(default_catalog(), tmp_path / "cat.csv")
         doc = {
@@ -262,7 +269,16 @@ class TestDatasetCsv:
         prefix = ",".join(lines[1].split(",")[:2])
         rest = lines[1].split(",")[3:]
         lines[1] = ",".join([prefix, bad, *rest])
-        with pytest.raises(InvalidRating):
+        with pytest.raises(InvalidRating, match=r"^line 2, column 'fiction_00': "):
+            load_dataset(self._write(tmp_path, lines))
+
+    def test_load_reports_first_of_two_errors(self, tmp_path, small_dataset):
+        lines = self._lines(small_dataset)
+        cells = lines[1].split(",")
+        cells[5] = "x"
+        lines[1] = ",".join(cells)
+        lines[3] = ",".join(lines[3].split(",")[:-1])
+        with pytest.raises(InvalidRating, match=r"^line 2, column 'fiction_03': .*'x'"):
             load_dataset(self._write(tmp_path, lines))
 
     def test_load_rejects_duplicate_id(self, tmp_path, small_dataset):
@@ -317,3 +333,81 @@ class TestSkewSummary:
     def test_all_extrovert_fraction(self):
         table = TypeFrequencyTable({"enfj": 2, "estp": 2})
         assert skew_summary(table).introvert_fraction == 0.0
+
+
+class TestLoaderAgainstOracle:
+    """``load_dataset`` reads in bulk; the row-by-row reader is the reference."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, survey_dataset):
+        lines = dataset_to_csv(survey_dataset).splitlines()
+        assert any(",0," in line for line in lines[1:])
+        return lines
+
+    def _write(self, tmp_path, lines, ending="\n"):
+        path = tmp_path / "survey.csv"
+        path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        return path
+
+    def _odd_but_valid(self, lines):
+        """Cells written "06" and "00", upper-case types, blank lines."""
+        out = list(lines)
+        rng = np.random.default_rng(5)
+        for i in rng.choice(np.arange(1, len(out)), size=40, replace=False):
+            cells = out[i].split(",")
+            j = int(rng.integers(2, len(cells)))
+            cells[j] = "0" + cells[j]
+            cells[1] = cells[1].upper() if i % 2 else cells[1]
+            out[i] = ",".join(cells)
+        out[300:300] = [""]
+        return out + [""]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_same_columns(self, tmp_path, lines, ending):
+        path = self._write(tmp_path, self._odd_but_valid(lines), ending)
+        ids, types, matrix = load_dataset_oracle(path)
+        loaded = load_dataset(path)
+        assert loaded.respondent_ids == ids
+        assert loaded.types == types
+        assert np.array_equal(loaded.rating_matrix(), matrix)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(700, 90, "x")],
+            [(5, 2, "٣")],
+            [(5, 2, " 3")],
+            [(5, 2, "+3")],
+            [(5, 40, "9" * 30)],
+            [(5, 1, "intx")],
+            [(5, 0, "bad id")],
+            [(5, 0, "")],
+            [(9, 4, "x"), (9, 3, "7")],
+            [(9, 1, "qq"), (9, 4, "x")],
+            [(9, 0, "a b"), (9, 1, "qq")],
+            [(2, 5, "x"), (4, None, "short")],
+            [(2, None, "short"), (4, 5, "x")],
+            [(3, 1, "zzzz"), (30, 0, "dup")],
+            [(30, 0, "dup"), (40, 5, "9")],
+            [(12, None, "long")],
+        ],
+    )
+    def test_same_first_error(self, tmp_path, lines, edits):
+        out = self._odd_but_valid(lines)
+        for row, column, value in edits:
+            cells = out[row].split(",")
+            if value == "short":
+                cells = cells[:-1]
+            elif value == "long":
+                cells.append("3")
+            elif value == "dup":
+                cells[column] = out[1].split(",")[0]
+            else:
+                cells[column] = value
+            out[row] = ",".join(cells)
+        path = self._write(tmp_path, out)
+        with pytest.raises(Error) as expected:
+            load_dataset_oracle(path)
+        with pytest.raises(type(expected.value)) as found:
+            load_dataset(path)
+        assert str(found.value) == str(expected.value)

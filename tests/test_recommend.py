@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import profiles_oracle
 from typetaste import recommend
 from typetaste.domain import Dataset, MbtiType, SurveyRecord, default_catalog
-from typetaste.errors import CatalogError, Error, UnknownType
+from typetaste.errors import CatalogError, EmptyInput, Error, UnknownType
 from typetaste.recommend import (
     DEFAULT_MIN_SUPPORT,
     build_profiles,
@@ -39,6 +40,21 @@ def profile_dataset():
 
 
 class TestBuildProfiles:
+    def test_matches_record_by_record_tally(self, survey_dataset):
+        profiles = build_profiles(survey_dataset.restrict_types(["intp", "estj", "enfj"]))
+        expected = profiles_oracle(survey_dataset.records, len(survey_dataset.catalog))
+        for t in ("intp", "estj", "enfj"):
+            mean, share, support = expected[MbtiType(t)]
+            assert np.array_equal(profiles[t].mean, mean, equal_nan=True)
+            assert np.array_equal(profiles[t].enjoyment_share, share, equal_nan=True)
+            assert np.array_equal(profiles[t].support, support)
+        assert profiles["isfj"].support.sum() == 0
+        assert np.isnan(profiles["isfj"].mean).all()
+
+    def test_no_respondents_raises(self):
+        with pytest.raises(EmptyInput):
+            build_profiles(Dataset(default_catalog(), ()))
+
     def test_covers_all_types(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
         assert len(profiles) == 16
