@@ -15,17 +15,16 @@ print(f"  ratings span {matrix.min()}..{matrix.max()} (0 means never tried)")
 
 print()
 print("Type frequencies, largest first:")
-for mbti, count in sorted(
-    ingest.type_frequencies(dataset).items(), key=lambda kv: (-kv[1], kv[0].value)
-):
+frequencies = ingest.type_frequencies(dataset)
+for mbti, count in frequencies.ranked():
     if count:
         bar = "#" * (count // 5)
         print(f"  {mbti.value}  {count:4d}  {bar}")
 
-summary = ingest.skew_summary(dataset)
+summary = ingest.skew_summary(frequencies)
 print()
 print(f"Introvert share: {summary.introvert_fraction:.1%}")
-print(f"Four most common types: {', '.join(summary.top_types)}")
+print(f"Four most common types: {', '.join(t.value for t, _ in summary.top_types)}")
 print()
 print("Re-running with the same seed reproduces the file byte for byte;")
 print("change the seed (or supply your own frequency table) for variations.")

@@ -34,6 +34,6 @@ rows = analysis.scatter_export(
     projected[:, :2], dataset.types, assignments=result.assignments
 )
 out = Path(tempfile.mkdtemp(prefix="typetaste_")) / "scatter.csv"
-analysis.write_scatter_csv(out, rows)
+out.write_text(analysis.scatter_to_csv(rows), encoding="utf-8")
 centroids = sum(1 for r in rows if r.is_centroid)
 print(f"  wrote {len(rows)} rows ({centroids} centroid markers) to {out}")

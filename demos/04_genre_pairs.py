@@ -30,6 +30,6 @@ print()
 print("The frequency helper feeds bar plots; restricted to four types:")
 subset = dataset.restrict_types(["intp", "intj", "esfj", "esfp"])
 counts = ingest.type_frequencies(subset)
-for mbti, count in analysis.frequency_bars(counts):
+for mbti, count in counts.ranked():
     if count:
         print(f"  {mbti.value}  {count:4d}  " + "#" * (count // 5))

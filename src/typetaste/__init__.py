@@ -12,10 +12,8 @@ from .domain import (
     MbtiType,
     SurveyRecord,
     default_catalog,
-    is_enjoyment,
     load_catalog,
     parse_mbti,
-    rating_meaning,
     save_catalog,
 )
 from .ingest import (
@@ -47,14 +45,12 @@ __all__ = [
     "errors",
     "generate_synthetic",
     "ingest",
-    "is_enjoyment",
     "kmeans",
     "load_catalog",
     "load_dataset",
     "metrics",
     "parse_mbti",
     "pca",
-    "rating_meaning",
     "recommend",
     "save_catalog",
     "save_dataset",

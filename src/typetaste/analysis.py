@@ -1,21 +1,17 @@
 """Descriptive views of a survey: joint rating tables for genre pairs,
-inclination summaries, frequency bars, cluster composition, and projected
-scatter exports for plotting.
+inclination summaries, and projected scatter exports for plotting.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domain import (
-    ALL_TYPES,
     ENJOYMENT_THRESHOLD,
     RATING_MAX,
     TYPE_INDEX,
@@ -25,7 +21,6 @@ from .domain import (
     parse_mbti,
 )
 from .errors import DimensionMismatch, LengthMismatch, SchemaMismatch
-from .kmeans import ClusteringResult
 
 N_RATINGS = RATING_MAX + 1
 
@@ -147,67 +142,6 @@ def inclination(table: PairRatingTable) -> InclinationSummary:
     )
 
 
-def frequency_bars(
-    counts: Mapping[MbtiType, int], order: Sequence[MbtiType | str] | None = None
-) -> list[tuple[MbtiType, int]]:
-    """(type, count) pairs ready for bar plotting.
-
-    Default order is descending count with alphabetical tie-break; passing
-    ``order`` selects and arranges exactly those types.
-    """
-    if order is None:
-        pairs = [(t, int(counts.get(t, 0))) for t in ALL_TYPES]
-        pairs.sort(key=lambda tc: (-tc[1], tc[0].value))
-        return pairs
-    return [(parse_mbti(t), int(counts.get(parse_mbti(t), 0))) for t in order]
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterComposition:
-    """Per-cluster personality makeup: which types landed in each cluster."""
-
-    sizes: tuple[int, ...]
-    members: tuple[Mapping[MbtiType, int], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def total(self) -> int:
-        return int(sum(self.sizes))
-
-    def dominant_type(self, cluster: int) -> MbtiType | None:
-        """Most frequent type in a cluster (alphabetical tie-break), or None
-        for an empty cluster."""
-        per_type = self.members[cluster]
-        if not per_type:
-            return None
-        return min(per_type, key=lambda t: (-per_type[t], t.value))
-
-
-def cluster_composition(
-    labels_true: Sequence[MbtiType | str], result: ClusteringResult
-) -> ClusterComposition:
-    """Count each personality type inside each of the result's clusters.
-
-    Every cluster index 0..k-1 appears, including empty ones, and the sizes
-    add up to the number of respondents.
-    """
-    if len(labels_true) != len(result.assignments):
-        raise LengthMismatch(
-            f"{len(labels_true)} labels for {len(result.assignments)} assignments"
-        )
-    k = result.k
-    tallies: list[Counter] = [Counter() for _ in range(k)]
-    for label, cluster in zip(labels_true, result.assignments):
-        tallies[int(cluster)][parse_mbti(label)] += 1
-    return ClusterComposition(
-        sizes=tuple(sum(t.values()) for t in tallies),
-        members=tuple(dict(t) for t in tallies),
-    )
-
-
 @dataclass(frozen=True)
 class ScatterRow:
     """One plottable point: projected coordinates plus display attributes.
@@ -287,32 +221,3 @@ def scatter_to_csv(rows: Sequence[ScatterRow]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def write_scatter_csv(path: str | Path, rows: Sequence[ScatterRow]) -> None:
-    Path(path).write_text(scatter_to_csv(rows), encoding="utf-8")
-
-
-def read_scatter_csv(path: str | Path) -> list[ScatterRow]:
-    """Round-trip reader for :func:`scatter_to_csv` files."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-3:] != ["mbti", "cluster", "is_centroid"]:
-            raise SchemaMismatch(f"not a scatter file: header {header}")
-        dims = len(header) - 3
-        if dims not in (2, 3) or header[:dims] != [f"pc{i + 1}" for i in range(dims)]:
-            raise SchemaMismatch(f"not a scatter file: header {header}")
-        rows = []
-        for line in reader:
-            if not line:
-                continue
-            rows.append(
-                ScatterRow(
-                    coords=tuple(float(v) for v in line[:dims]),
-                    mbti=line[dims],
-                    cluster=None if line[dims + 1] == "" else int(line[dims + 1]),
-                    is_centroid=line[dims + 2] == "1",
-                )
-            )
-    return rows

@@ -201,12 +201,11 @@ def cmd_freq(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
     table = ingest.type_frequencies(dataset)
     summary = ingest.skew_summary(table)
-    bars = analysis.frequency_bars(table.counts)
     lines = [f"# total={summary.total}"]
     lines.append(f"# introvert_fraction={summary.introvert_fraction:.6f}")
     lines.append("# top4=" + ",".join(t.value for t, _ in summary.top_types))
     lines.append("mbti,count")
-    lines.extend(f"{t.value},{count}" for t, count in bars)
+    lines.extend(f"{t.value},{count}" for t, count in table.ranked())
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

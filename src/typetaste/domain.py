@@ -57,30 +57,6 @@ class MbtiType(str, Enum):
         return self.value
 
     @property
-    def code(self) -> str:
-        return self.value
-
-    @property
-    def attitude(self) -> str:
-        """'i' (introversion) or 'e' (extroversion)."""
-        return self.value[0]
-
-    @property
-    def information(self) -> str:
-        """'n' (intuition) or 's' (sensing)."""
-        return self.value[1]
-
-    @property
-    def decision(self) -> str:
-        """'t' (thinking) or 'f' (feeling)."""
-        return self.value[2]
-
-    @property
-    def lifestyle(self) -> str:
-        """'j' (judging) or 'p' (perceiving)."""
-        return self.value[3]
-
-    @property
     def is_introvert(self) -> bool:
         return self.value[0] == "i"
 
@@ -132,16 +108,6 @@ RATING_MAX = 6
 # dislike, and must be excluded from preference averages.
 ENJOYMENT_THRESHOLD = 4
 
-_RATING_MEANINGS = (
-    "No Experience",
-    "Dislike strongly",
-    "Dislike",
-    "Neutral/No opinion",
-    "Mild enjoyment",
-    "Reasonably enjoyable",
-    "Highly enjoyable",
-)
-
 
 def check_rating(value: int) -> int:
     """Return ``value`` as a plain int, or raise :class:`InvalidRating`."""
@@ -154,16 +120,6 @@ def check_rating(value: int) -> int:
     return v
 
 
-def rating_meaning(rating: int) -> str:
-    """Human label for one value of the 0..6 scale."""
-    return _RATING_MEANINGS[check_rating(rating)]
-
-
-def is_enjoyment(rating: int) -> bool:
-    """True for ratings of 4 (mild enjoyment) and above."""
-    return check_rating(rating) >= ENJOYMENT_THRESHOLD
-
-
 # The five survey categories, in canonical column order, with their sizes.
 CATEGORY_SIZES: Mapping[str, int] = {
     "fiction-books": 30,
@@ -174,8 +130,6 @@ CATEGORY_SIZES: Mapping[str, int] = {
 }
 
 CATEGORY_ORDER: tuple[str, ...] = tuple(CATEGORY_SIZES)
-
-N_GENRES = sum(CATEGORY_SIZES.values())
 
 PSYCHOLOGY = "Psychology"
 RELIGION_SPIRITUALITY = "Religion & Spirituality"
@@ -363,9 +317,6 @@ class SurveyRecord:
         record = object.__new__(cls)
         record.__dict__.update(respondent_id=respondent_id, mbti=mbti, ratings=ratings)
         return record
-
-    def rating_for(self, catalog: GenreCatalog, genre: str) -> int:
-        return self.ratings[catalog.index(genre)]
 
 
 def repeated_ids(ids: Sequence[str]) -> np.ndarray:

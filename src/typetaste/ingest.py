@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -30,7 +29,6 @@ from .domain import (
     MbtiType,
     check_seed,
     default_catalog,
-    load_catalog,
     parse_mbti,
     read_utf8,
     repeated_ids,
@@ -107,6 +105,10 @@ class TypeFrequencyTable:
         """(type, count) pairs in canonical alphabetical type order."""
         return tuple((t, self.counts[t]) for t in ALL_TYPES)
 
+    def ranked(self) -> tuple[tuple[MbtiType, int], ...]:
+        """(type, count) pairs by descending count, ties in alphabetical order."""
+        return tuple(sorted(self.items(), key=lambda tc: (-tc[1], tc[0].value)))
+
 
 def survey_frequency_table() -> TypeFrequencyTable:
     """The reference survey's 1020-respondent frequency profile."""
@@ -137,44 +139,29 @@ class RatingModel:
         object.__setattr__(self, "dispersion", float(self.dispersion))
 
     @classmethod
-    def planted(
-        cls,
-        catalog: GenreCatalog,
-        mean_low: float = 1.0,
-        mean_high: float = 5.0,
-        dispersion: float = 1.0,
-        overrides: Mapping[str, Mapping[str, float]] | None = None,
-    ) -> "RatingModel":
-        """Deterministic per-type affinity structure over a catalog.
+    def planted(cls, catalog: GenreCatalog) -> "RatingModel":
+        """Deterministic per-type affinity structure over a catalog, sampled
+        with dispersion 1.
 
-        Each (type, genre) mean is a stable hash-derived point in
-        ``[mean_low, mean_high]``, so distinct types get distinct preference
-        profiles without any RNG state.  When the catalog contains the named
-        nonfiction genres, the four most frequent survey types are planted to
-        favor Psychology (mean 5) over Religion & Spirituality (mean 2),
-        mirroring the inclination seen in the real responses.  ``overrides``
-        maps type code -> genre -> mean and is applied last.
+        Each (type, genre) mean is a stable hash-derived point in ``[1, 5]``,
+        so distinct types get distinct preference profiles without any RNG
+        state.  When the catalog contains the named nonfiction genres, the
+        four most frequent survey types are planted to favor Psychology
+        (mean 5) over Religion & Spirituality (mean 2), mirroring the
+        inclination seen in the real responses.
         """
-        lo, hi = float(mean_low), float(mean_high)
-        if not 0 <= lo <= hi <= 6:
-            raise Error(f"mean range must satisfy 0 <= low <= high <= 6, got {lo}..{hi}")
         means = np.empty((len(ALL_TYPES), len(catalog)), dtype=np.float64)
         for ti, t in enumerate(ALL_TYPES):
             for gi, genre in enumerate(catalog.genres):
                 u = zlib.crc32(f"{t.value}|{genre}".encode("utf-8")) / 2**32
-                means[ti, gi] = lo + (hi - lo) * u
+                means[ti, gi] = 1.0 + 4.0 * u
         planted_pairs = {PSYCHOLOGY: 5.0, RELIGION_SPIRITUALITY: 2.0}
         for code in TOP_SURVEY_TYPES:
             ti = ALL_TYPES.index(parse_mbti(code))
             for genre, value in planted_pairs.items():
                 if genre in catalog:
                     means[ti, catalog.index(genre)] = value
-        if overrides:
-            for code, per_genre in overrides.items():
-                ti = ALL_TYPES.index(parse_mbti(code))
-                for genre, value in per_genre.items():
-                    means[ti, catalog.index(genre)] = float(value)
-        return cls(means=means, dispersion=dispersion)
+        return cls(means=means)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,64 +186,6 @@ class SynthConfig:
                 f"rating model covers {self.rating_model.means.shape[1]} genres, "
                 f"catalog has {len(self.catalog)}"
             )
-
-
-def synth_config_from_json(source: str | Path | Mapping) -> SynthConfig:
-    """Build a :class:`SynthConfig` from a JSON document or a path to one.
-
-    Expected shape::
-
-        {"seed": 7,
-         "frequencies": {"intp": 221, ...},
-         "catalog": "optional/path.csv",
-         "rating_model": {"mean_low": 1.0, "mean_high": 5.0,
-                          "dispersion": 1.0,
-                          "overrides": {"intp": {"Psychology": 5.5}}}}
-
-    Missing types count 0; a relative catalog path resolves against the JSON
-    file's directory.
-    """
-    base = Path(".")
-    if isinstance(source, Mapping):
-        doc = dict(source)
-    else:
-        path = Path(source)
-        base = path.parent
-        try:
-            doc = json.loads(read_utf8(path))
-        except json.JSONDecodeError as exc:
-            raise Error(f"invalid JSON in {path}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise Error(f"config root must be a JSON object, got {type(doc).__name__}")
-    known = {"seed", "frequencies", "catalog", "rating_model"}
-    unknown = set(doc) - known
-    if unknown:
-        raise Error(f"unknown config keys: {sorted(unknown)}")
-    if "frequencies" not in doc:
-        raise Error("config needs a 'frequencies' mapping")
-    frequencies = TypeFrequencyTable(doc["frequencies"])
-    catalog = default_catalog()
-    if "catalog" in doc and doc["catalog"] is not None:
-        catalog = load_catalog(base / doc["catalog"])
-    model = None
-    if "rating_model" in doc and doc["rating_model"] is not None:
-        fields = dict(doc["rating_model"])
-        unknown = set(fields) - {"mean_low", "mean_high", "dispersion", "overrides"}
-        if unknown:
-            raise Error(f"unknown rating_model keys: {sorted(unknown)}")
-        model = RatingModel.planted(
-            catalog,
-            mean_low=fields.get("mean_low", 1.0),
-            mean_high=fields.get("mean_high", 5.0),
-            dispersion=fields.get("dispersion", 1.0),
-            overrides=fields.get("overrides"),
-        )
-    return SynthConfig(
-        seed=int(doc.get("seed", 0)),
-        frequencies=frequencies,
-        catalog=catalog,
-        rating_model=model,
-    )
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -395,18 +324,17 @@ class SkewSummary:
 
 
 def skew_summary(table: TypeFrequencyTable, top_n: int = 4) -> SkewSummary:
-    """Introvert share and the ``top_n`` most frequent types.
+    """Introvert share and the first ``top_n`` types of
+    :meth:`TypeFrequencyTable.ranked`.
 
-    Ranking is by descending count with alphabetical tie-break.  An empty
-    table has no meaningful skew and raises :class:`EmptyTable`.
+    An empty table has no meaningful skew and raises :class:`EmptyTable`.
     """
     total = table.total
     if total == 0:
         raise EmptyTable("cannot summarize an empty frequency table")
     introverts = sum(c for t, c in table.items() if t.is_introvert)
-    ranked = sorted(table.items(), key=lambda tc: (-tc[1], tc[0].value))
     return SkewSummary(
         total=total,
         introvert_fraction=introverts / total,
-        top_types=tuple(ranked[: max(0, top_n)]),
+        top_types=table.ranked()[: max(0, top_n)],
     )

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -314,6 +314,7 @@ def evaluate(
 
 ALL_METHODS: tuple[str, ...] = (km.INIT_KMEANSPP, km.INIT_RANDOM, km.METHOD_PCA)
 
+# The report's column names, one per EvaluationReport field in field order.
 REPORT_COLUMNS: tuple[str, ...] = (
     "method",
     "time",
@@ -378,19 +379,6 @@ def _fmt3(value: float) -> str:
     return f"{round(float(value), 3):g}"
 
 
-def _report_cells(report: EvaluationReport) -> list[str]:
-    return [
-        report.method,
-        _fmt3(report.elapsed),
-        _fmt3(report.homogeneity),
-        _fmt3(report.completeness),
-        _fmt3(report.v_measure),
-        _fmt3(report.ari),
-        _fmt3(report.ami),
-        _fmt3(report.silhouette),
-    ]
-
-
 def comparison_to_csv(rows: Sequence[tuple[str, EvaluationReport]]) -> str:
     """Render comparison rows as CSV: one fixed header, category groups
     separated by ``# category=<name>`` comment lines, values at 3 decimals."""
@@ -402,7 +390,8 @@ def comparison_to_csv(rows: Sequence[tuple[str, EvaluationReport]]) -> str:
         if category != current:
             buf.write(f"# category={category}\n")
             current = category
-        writer.writerow(_report_cells(report))
+        method, *scores = astuple(report)
+        writer.writerow([method, *map(_fmt3, scores)])
     return buf.getvalue()
 
 
@@ -414,16 +403,7 @@ def comparison_to_json(
     categories: dict[str, list[dict]] = {}
     for category, report in rows:
         categories.setdefault(category, []).append(
-            {
-                "method": report.method,
-                "time": report.elapsed,
-                "homo": report.homogeneity,
-                "compl": report.completeness,
-                "v-meas": report.v_measure,
-                "ARI": report.ari,
-                "AMI": report.ami,
-                "Silhouette": report.silhouette,
-            }
+            dict(zip(REPORT_COLUMNS, astuple(report)))
         )
     doc = {"metadata": dict(metadata or {}), "categories": categories}
     return json.dumps(doc, indent=2) + "\n"

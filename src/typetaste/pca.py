@@ -1,4 +1,5 @@
-"""Principal component analysis over mean-centered rating matrices.
+"""Principal component analysis over mean-centered rating matrices: fit a
+model, then project rows into its component space.
 
 Components come from an eigendecomposition of the sample covariance matrix
 (``n - 1`` denominator).  Rows of ``components`` are orthonormal, ordered by
@@ -9,10 +10,7 @@ platforms.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -72,51 +70,10 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
 
 
 def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
-    """Map rows of ``data`` into the fitted component space.
-
-    A single 1-D sample comes back as a 1-D coordinate vector.
-    """
+    """Map the rows of ``data`` into the fitted component space."""
     X = np.asarray(data, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[np.newaxis, :]
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatch(
-            f"expected (..., {model.n_features}) data, got shape {np.shape(data)}"
+            f"expected (n, {model.n_features}) data, got shape {np.shape(data)}"
         )
-    out = (X - model.mean) @ model.components.T
-    return out[0] if single else out
-
-
-def reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:
-    """Map component-space coordinates back into feature space.
-
-    Lossless exactly when the model retains all nonzero-variance directions.
-    """
-    Z = np.asarray(projected, dtype=np.float64)
-    single = Z.ndim == 1
-    if single:
-        Z = Z[np.newaxis, :]
-    if Z.ndim != 2 or Z.shape[1] != model.n_components:
-        raise DimensionMismatch(
-            f"expected (..., {model.n_components}) coordinates, got shape "
-            f"{np.shape(projected)}"
-        )
-    out = Z @ model.components + model.mean
-    return out[0] if single else out
-
-
-def projection_to_csv(
-    ids: Sequence[str], labels: Sequence[str], coords: np.ndarray
-) -> str:
-    """CSV text with ``respondent_id,mbti,pc1..pcK`` rows for fitted coordinates."""
-    Z = np.asarray(coords, dtype=np.float64)
-    if Z.ndim != 2 or len(ids) != len(Z) or len(labels) != len(Z):
-        raise DimensionMismatch("ids, labels, and coordinate rows must align")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["respondent_id", "mbti", *(f"pc{i + 1}" for i in range(Z.shape[1]))])
-    for rid, label, row in zip(ids, labels, Z):
-        writer.writerow([rid, str(label), *(repr(float(v)) for v in row)])
-    return buf.getvalue()
-
+    return (X - model.mean) @ model.components.T

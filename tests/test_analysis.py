@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from oracles import pair_table_oracle
-from typetaste import analysis, kmeans, metrics, pca
+from typetaste import pca
 from typetaste.analysis import (
-    cluster_composition,
-    frequency_bars,
     inclination,
     pair_rating_table,
     pair_table_to_csv,
-    read_scatter_csv,
     scatter_export,
     scatter_to_csv,
-    write_scatter_csv,
 )
 from typetaste.domain import Dataset, MbtiType, SurveyRecord, default_catalog
 from typetaste.errors import (
@@ -137,85 +133,6 @@ class TestInclination:
         assert summary.leaning is None
 
 
-class TestFrequencyBars:
-    def test_default_order_descending_with_alpha_ties(self):
-        counts = {
-            MbtiType.INTP: 4,
-            MbtiType.ENFJ: 9,
-            MbtiType.ISTP: 4,
-            MbtiType.ESFJ: 1,
-        }
-        bars = frequency_bars(counts)
-        assert [t.value for t, _ in bars[:4]] == ["enfj", "intp", "istp", "esfj"]
-        assert len(bars) == 16
-        assert bars[-1][1] == 0
-
-    def test_explicit_order(self):
-        counts = {MbtiType.INTP: 4, MbtiType.ENFJ: 9}
-        bars = frequency_bars(counts, order=["intp", "ENFJ", "istj"])
-        assert bars == [(MbtiType.INTP, 4), (MbtiType.ENFJ, 9), (MbtiType.ISTJ, 0)]
-
-
-class TestClusterComposition:
-    def test_counts_match_contingency(self, rng):
-        codes = ["intp", "enfj", "istj"]
-        labels = [codes[i] for i in rng.integers(0, 3, size=40)]
-        X = rng.normal(size=(40, 2))
-        result = kmeans.fit(X, kmeans.KmeansConfig(k=4, seed=0, restarts=2))
-        comp = cluster_composition(labels, result)
-        assert comp.k == 4
-        assert comp.total == 40
-        assert sum(comp.sizes) == 40
-        # Cross-check every tally against the contingency-table route.
-        table = metrics.contingency(labels, result.assignments)
-        label_order = list(dict.fromkeys(labels))
-        cluster_order = list(dict.fromkeys(int(a) for a in result.assignments))
-        for li, label in enumerate(label_order):
-            for ci, cluster in enumerate(cluster_order):
-                got = comp.members[cluster].get(MbtiType(label), 0)
-                assert got == int(table.counts[li, ci])
-
-    def test_empty_clusters_present(self):
-        X = np.array([[0.0], [0.1], [0.2], [10.0]])
-        result = kmeans.ClusteringResult(
-            assignments=np.array([0, 0, 0, 2]),
-            centroids=np.array([[0.1], [99.0], [10.0]]),
-            inertia=0.02,
-            iterations=1,
-            elapsed=0.0,
-            method="kmeans++",
-        )
-        comp = cluster_composition(["intp", "intp", "enfj", "intp"], result)
-        assert comp.sizes == (3, 0, 1)
-        assert comp.members[1] == {}
-        assert comp.dominant_type(1) is None
-        assert comp.dominant_type(0) is MbtiType.INTP
-
-    def test_dominant_type_tie_alphabetical(self):
-        result = kmeans.ClusteringResult(
-            assignments=np.array([0, 0]),
-            centroids=np.array([[0.0]]),
-            inertia=0.0,
-            iterations=1,
-            elapsed=0.0,
-            method="random",
-        )
-        comp = cluster_composition(["istp", "enfj"], result)
-        assert comp.dominant_type(0) is MbtiType.ENFJ
-
-    def test_length_mismatch(self):
-        result = kmeans.ClusteringResult(
-            assignments=np.array([0, 0]),
-            centroids=np.array([[0.0]]),
-            inertia=0.0,
-            iterations=1,
-            elapsed=0.0,
-            method="random",
-        )
-        with pytest.raises(LengthMismatch):
-            cluster_composition(["intp"], result)
-
-
 class TestScatterExport:
     def test_rows_without_clusters(self, rng):
         Z = rng.normal(size=(5, 2))
@@ -261,13 +178,6 @@ class TestScatterExport:
         Z = rng.normal(size=(2, 3))
         text = scatter_to_csv(scatter_export(Z, ["intp", "intp"]))
         assert text.splitlines()[0] == "pc1,pc2,pc3,mbti,cluster,is_centroid"
-
-    def test_csv_roundtrip(self, tmp_path, rng):
-        Z = rng.normal(size=(4, 2))
-        rows = scatter_export(Z, ["intp", "enfj", "istj", "intp"], [0, 1, 1, 0])
-        path = tmp_path / "scatter.csv"
-        write_scatter_csv(path, rows)
-        assert read_scatter_csv(path) == rows
 
     def test_pipeline_from_pca(self, small_dataset):
         X = small_dataset.feature_matrix()

@@ -10,11 +10,10 @@ from typetaste.domain import (
     GenreCatalog,
     MbtiType,
     SurveyRecord,
+    check_rating,
     default_catalog,
-    is_enjoyment,
     load_catalog,
     parse_mbti,
-    rating_meaning,
     save_catalog,
 )
 from typetaste.errors import (
@@ -34,9 +33,7 @@ class TestMbtiType:
         assert [t.value for t in ALL_TYPES] == sorted(t.value for t in ALL_TYPES)
 
     def test_types_cover_all_letter_combinations(self):
-        combos = {
-            (t.attitude, t.information, t.decision, t.lifestyle) for t in ALL_TYPES
-        }
+        combos = {tuple(t.value) for t in ALL_TYPES}
         assert len(combos) == 16
         assert {c[0] for c in combos} == {"i", "e"}
         assert {c[1] for c in combos} == {"n", "s"}
@@ -46,7 +43,6 @@ class TestMbtiType:
     def test_str_is_lowercase_code(self):
         assert str(MbtiType.INTP) == "intp"
         assert f"{MbtiType.ENFJ}" == "enfj"
-        assert MbtiType.ISTJ.code == "istj"
 
     def test_is_introvert(self):
         assert MbtiType.INTP.is_introvert
@@ -73,30 +69,14 @@ class TestMbtiType:
 
 
 class TestRatingScale:
-    def test_meanings(self):
-        assert rating_meaning(0) == "No Experience"
-        assert rating_meaning(1) == "Dislike strongly"
-        assert rating_meaning(2) == "Dislike"
-        assert rating_meaning(3) == "Neutral/No opinion"
-        assert rating_meaning(4) == "Mild enjoyment"
-        assert rating_meaning(5) == "Reasonably enjoyable"
-        assert rating_meaning(6) == "Highly enjoyable"
-
-    def test_enjoyment_threshold(self):
-        assert [is_enjoyment(r) for r in range(7)] == [
-            False, False, False, False, True, True, True,
-        ]
-
     def test_numpy_integers_accepted(self):
-        assert is_enjoyment(np.int64(5))
-        assert rating_meaning(np.int32(0)) == "No Experience"
+        assert check_rating(np.int64(5)) == 5
+        assert type(check_rating(np.int8(0))) is int
 
     @pytest.mark.parametrize("value", [-1, 7, 100, 3.5, "3", None])
     def test_invalid_ratings_rejected(self, value):
         with pytest.raises(InvalidRating):
-            rating_meaning(value)
-        with pytest.raises(InvalidRating):
-            is_enjoyment(value)
+            check_rating(value)
 
 
 class TestGenreCatalog:
@@ -213,13 +193,6 @@ class TestSurveyRecord:
     def test_rejects_empty_id(self):
         with pytest.raises(SchemaMismatch):
             SurveyRecord("", "intp", (0,))
-
-    def test_rating_for(self):
-        cat = default_catalog()
-        ratings = [0] * 121
-        ratings[cat.index("Psychology")] = 6
-        rec = SurveyRecord("a-1", "intp", ratings)
-        assert rec.rating_for(cat, "Psychology") == 6
 
 
 class TestDataset:

@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
 from oracles import load_dataset_oracle
 from typetaste import ingest
-from typetaste.domain import ALL_TYPES, Dataset, MbtiType, default_catalog, save_catalog
+from typetaste.domain import ALL_TYPES, Dataset, MbtiType, default_catalog
 from typetaste.errors import (
     DuplicateRespondent,
     EmptyTable,
@@ -25,7 +23,6 @@ from typetaste.ingest import (
     save_dataset,
     skew_summary,
     survey_frequency_table,
-    synth_config_from_json,
     type_frequencies,
 )
 
@@ -77,14 +74,21 @@ class TestTypeFrequencyTable:
         with pytest.raises(InvalidMbtiCode):
             TypeFrequencyTable({"wxyz": 1})
 
+    def test_ranked_descending_with_alpha_ties(self):
+        table = TypeFrequencyTable({"intp": 4, "enfj": 9, "istp": 4, "esfj": 1})
+        ranked = table.ranked()
+        assert [t.value for t, _ in ranked[:4]] == ["enfj", "intp", "istp", "esfj"]
+        assert len(ranked) == 16
+        assert ranked[-1][1] == 0
+
 
 class TestRatingModel:
     def test_planted_shape_and_bounds(self):
         cat = default_catalog()
-        model = RatingModel.planted(cat, mean_low=1.0, mean_high=5.0)
+        model = RatingModel.planted(cat)
         assert model.means.shape == (16, 121)
         assert np.all(model.means >= 1.0)
-        assert np.all(model.means <= 6.0)
+        assert np.all(model.means <= 5.0)
 
     def test_planted_is_deterministic(self):
         cat = default_catalog()
@@ -106,18 +110,7 @@ class TestRatingModel:
             assert model.means[row, psych] == 5.0
             assert model.means[row, relig] == 2.0
 
-    def test_overrides_apply_last(self):
-        cat = default_catalog()
-        model = RatingModel.planted(cat, overrides={"intp": {"Psychology": 3.25}})
-        row = ALL_TYPES.index(MbtiType.INTP)
-        assert model.means[row, cat.index("Psychology")] == 3.25
-
     def test_bad_ranges_rejected(self):
-        cat = default_catalog()
-        with pytest.raises(Error):
-            RatingModel.planted(cat, mean_low=4.0, mean_high=2.0)
-        with pytest.raises(Error):
-            RatingModel.planted(cat, mean_low=-1.0)
         with pytest.raises(Error):
             RatingModel(np.full((16, 121), 7.0))
         with pytest.raises(Error):
@@ -141,48 +134,6 @@ class TestSynthConfig:
     def test_empty_frequencies_rejected(self):
         with pytest.raises(Error):
             SynthConfig(seed=1, frequencies=TypeFrequencyTable({}))
-
-    def test_from_json_mapping(self):
-        config = synth_config_from_json(
-            {"seed": 9, "frequencies": {"intp": 4, "enfj": 2}}
-        )
-        assert config.seed == 9
-        assert config.frequencies.total == 6
-
-    def test_from_json_file_not_utf8(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_bytes(b'{"frequencies": {"\xffntp": 2}}')
-        with pytest.raises(SchemaMismatch, match="not UTF-8 text: byte 0xff at offset 18"):
-            synth_config_from_json(path)
-
-    def test_from_json_file_with_catalog(self, tmp_path):
-        save_catalog(default_catalog(), tmp_path / "cat.csv")
-        doc = {
-            "seed": 3,
-            "frequencies": {"istj": 2},
-            "catalog": "cat.csv",
-            "rating_model": {"mean_low": 2.0, "mean_high": 4.0, "dispersion": 0.5},
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
-        config = synth_config_from_json(path)
-        assert config.seed == 3
-        assert config.rating_model.dispersion == 0.5
-        inside = np.delete(
-            config.rating_model.means,
-            [config.catalog.index("Psychology"),
-             config.catalog.index("Religion & Spirituality")],
-            axis=1,
-        )
-        assert np.all(inside >= 2.0) and np.all(inside <= 4.0)
-
-    def test_from_json_rejects_unknown_keys(self):
-        with pytest.raises(Error):
-            synth_config_from_json({"seed": 1, "frequencies": {}, "bogus": 2})
-
-    def test_from_json_requires_frequencies(self):
-        with pytest.raises(Error):
-            synth_config_from_json({"seed": 1})
 
 
 class TestGenerateSynthetic:
