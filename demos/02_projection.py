@@ -33,7 +33,8 @@ result = kmeans.fit(X, kmeans.KmeansConfig(k=16, reduce_first=2, seed=7, restart
 rows = analysis.scatter_export(
     projected[:, :2], dataset.types, assignments=result.assignments
 )
-out = Path(tempfile.mkdtemp(prefix="typetaste_")) / "scatter.csv"
-out.write_text(analysis.scatter_to_csv(rows), encoding="utf-8")
 centroids = sum(1 for r in rows if r.is_centroid)
-print(f"  wrote {len(rows)} rows ({centroids} centroid markers) to {out}")
+with tempfile.TemporaryDirectory(prefix="typetaste_") as tmp:
+    out = Path(tmp) / "scatter.csv"
+    out.write_text(analysis.scatter_to_csv(rows), encoding="utf-8")
+    print(f"  wrote {len(rows)} rows ({centroids} centroid markers) to {out}")

@@ -17,7 +17,6 @@ from .domain import (
     TYPE_INDEX,
     Dataset,
     MbtiType,
-    coerce_type,
     parse_mbti,
 )
 from .errors import DimensionMismatch, LengthMismatch, SchemaMismatch
@@ -70,7 +69,7 @@ def pair_rating_table(
     The table totals the number of respondents of that type; a type absent
     from the dataset yields an all-zero table.
     """
-    t = coerce_type(mbti)
+    t = parse_mbti(mbti)
     ia = dataset.catalog.index(genre_a)
     ib = dataset.catalog.index(genre_b)
     rows = dataset.ratings[dataset.type_codes == TYPE_INDEX[t]]

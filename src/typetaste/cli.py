@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import __version__
 from . import analysis, ingest, kmeans, metrics, pca, recommend
-from .domain import MAX_SEED, Dataset, GenreCatalog, default_catalog, load_catalog, parse_mbti
+from .domain import Dataset, GenreCatalog, check_seed, default_catalog, load_catalog, parse_mbti
 from .domain import read_utf8
 from .errors import Error, InvalidMbtiCode
 
@@ -26,9 +26,10 @@ def _seed_arg(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if not 0 <= value <= MAX_SEED:
-        raise argparse.ArgumentTypeError(f"seed must fit in unsigned 64 bits, got {value}")
-    return value
+    try:
+        return check_seed(value)
+    except Error as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _mbti_arg(text: str) -> str:

@@ -24,7 +24,6 @@ from .errors import (
     Error,
     SchemaMismatch,
     UnknownGenre,
-    UnknownType,
 )
 
 
@@ -79,15 +78,6 @@ def parse_mbti(text: str) -> MbtiType:
         except ValueError:
             pass
     raise InvalidMbtiCode(f"not a valid personality code: {text!r}")
-
-
-def coerce_type(mbti: MbtiType | str) -> MbtiType:
-    """Parse a personality type asked for by a caller; an invalid code raises
-    :class:`UnknownType`."""
-    try:
-        return parse_mbti(mbti)
-    except InvalidMbtiCode:
-        raise UnknownType(f"not a personality type: {mbti!r}") from None
 
 
 MAX_SEED = 2**64 - 1
@@ -173,6 +163,11 @@ class GenreCatalog:
         return tuple(g for _, genres in self.categories for g in genres)
 
     @cached_property
+    def column_categories(self) -> tuple[str, ...]:
+        """Each column's category name, in canonical column order."""
+        return tuple(name for name, genres in self.categories for _ in genres)
+
+    @cached_property
     def _index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.genres)}
 
@@ -201,13 +196,6 @@ class GenreCatalog:
             return self._index[genre]
         except KeyError:
             raise UnknownGenre(f"genre not in catalog: {genre!r}") from None
-
-    def category_of(self, genre: str) -> str:
-        i = self.index(genre)
-        for name, sl in self._category_slices.items():
-            if sl.start <= i < sl.stop:
-                return name
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def category_slice(self, category: str) -> slice:
         """Column slice covering one category, or raise :class:`CatalogError`."""

@@ -64,7 +64,3 @@ class SingleClusterOnly(Error):
 
 class UnknownGenre(Error):
     """A genre name is not present in the catalog."""
-
-
-class UnknownType(Error):
-    """A personality type has no profile or no matching respondents."""

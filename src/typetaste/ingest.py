@@ -68,7 +68,7 @@ SURVEY_TYPE_COUNTS: Mapping[str, int] = {
 }
 
 # The reference survey's four most frequent types, all introverted intuitives.
-TOP_SURVEY_TYPES: tuple[str, ...] = ("intp", "intj", "infj", "infp")
+TOP_SURVEY_TYPES: tuple[str, ...] = tuple(SURVEY_TYPE_COUNTS)[:4]
 
 
 @dataclass(frozen=True)

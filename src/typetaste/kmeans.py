@@ -68,8 +68,7 @@ class ClusteringResult:
     nearest to, total within-cluster squared distance, and bookkeeping.
 
     ``space`` holds the rows the fit clustered: the data itself, or its PCA
-    projection for ``pca-based`` fits.  It is ``None`` only for results built
-    by hand."""
+    projection for ``pca-based`` fits."""
 
     assignments: np.ndarray
     centroids: np.ndarray
@@ -77,7 +76,7 @@ class ClusteringResult:
     iterations: int
     elapsed: float
     method: str
-    space: np.ndarray | None = None
+    space: np.ndarray
 
     @property
     def k(self) -> int:

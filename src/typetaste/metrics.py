@@ -277,26 +277,15 @@ class EvaluationReport:
     silhouette: float
 
 
-def evaluate(
-    data: np.ndarray, labels_true: Sequence, result: km.ClusteringResult
-) -> EvaluationReport:
+def evaluate(labels_true: Sequence, result: km.ClusteringResult) -> EvaluationReport:
     """Score one clustering result against true class labels.
 
-    ``data`` must be the feature space the result was fitted in (the reduced
-    space for PCA-based fits), since the silhouette is geometric.
+    The silhouette is geometric, so it is taken in ``result.space``, the
+    space the fit clustered (the reduced space for PCA-based fits).
     """
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"data must be 2-D, got shape {X.shape}")
-    if X.shape[1] != result.centroids.shape[1]:
-        raise DimensionMismatch(
-            f"data has {X.shape[1]} features, centroids have "
-            f"{result.centroids.shape[1]}; pass the space the fit ran in"
-        )
-    if len(labels_true) != X.shape[0] or len(result.assignments) != X.shape[0]:
+    if len(labels_true) != len(result.assignments):
         raise LengthMismatch(
-            f"{len(labels_true)} labels and {len(result.assignments)} assignments "
-            f"for {X.shape[0]} data rows"
+            f"{len(labels_true)} labels for {len(result.assignments)} assignments"
         )
     table = contingency(labels_true, result.assignments)
     homogeneity, completeness, v_measure = homogeneity_completeness_v(table)
@@ -308,7 +297,7 @@ def evaluate(
         v_measure=v_measure,
         ari=adjusted_rand(table),
         ami=adjusted_mutual_information(table),
-        silhouette=silhouette(X, result.assignments),
+        silhouette=silhouette(result.space, result.assignments),
     )
 
 
@@ -371,7 +360,7 @@ def run_method_comparison(
             config = _method_config(method, k, int(cell_seeds[cell]), restarts, pca_dims)
             cell += 1
             result = km.fit(X, config)
-            rows.append((category, evaluate(result.space, labels, result)))
+            rows.append((category, evaluate(labels, result)))
     return rows
 
 

@@ -1,32 +1,36 @@
 """Genre recommendations from per-type aggregate rating profiles.
 
-A type's profile is built only from respondents who have experience of a
-genre (rating 0 excluded), so "never tried it" does not read as dislike.
-Rankings are deterministic: descending score with alphabetical tie-break.
+:func:`build_profiles` aggregates a survey into one :class:`ProfileSet` of
+(16, n_genres) arrays, one row per type in ``ALL_TYPES`` order.  A type's
+profile is built only from respondents who have experience of a genre
+(rating 0 excluded), so "never tried it" does not read as dislike.  Both
+recommenders rank one row of it.  Rankings are deterministic: descending
+score with alphabetical tie-break.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domain import (
     ALL_TYPES,
     ENJOYMENT_THRESHOLD,
+    TYPE_INDEX,
     Dataset,
     GenreCatalog,
     MbtiType,
     SurveyRecord,
-    coerce_type,
+    parse_mbti,
 )
 from .errors import EmptyInput, Error
 
 DISLIKE_MAX = 2
-DEFAULT_MIN_SUPPORT = 5
+# Genres with fewer raters than this are flagged ``low_support``, not dropped.
+MIN_SUPPORT = 5
 DEFAULT_TOP_N = 10
 
 STRATEGY_TYPE_PROFILE = "type-profile"
@@ -34,42 +38,19 @@ STRATEGY_BLENDED = "blended"
 
 
 @dataclass(frozen=True, eq=False)
-class TypeProfile:
-    """Aggregate taste of one type: per-genre mean rating, enjoyment share,
-    and rater support, all aligned with the catalog's column order.
+class ProfileSet:
+    """Aggregate taste of all 16 types over one catalog: per-genre mean
+    rating, enjoyment share and rater support, each a (16, n_genres) array
+    with rows in ``ALL_TYPES`` order and columns in catalog order.
 
-    ``mean[g]`` and ``enjoyment_share[g]`` are NaN when no respondent of the
-    type has experience of genre ``g`` (``support[g] == 0``).
+    ``mean`` and ``enjoyment_share`` are NaN where no respondent of the type
+    has experience of the genre (``support == 0``).
     """
 
-    mbti: MbtiType
+    catalog: GenreCatalog
     mean: np.ndarray
     enjoyment_share: np.ndarray
     support: np.ndarray
-
-    @property
-    def n_genres(self) -> int:
-        return self.mean.shape[0]
-
-
-class ProfileSet(Mapping):
-    """Profiles for all 16 types over one catalog, keyed by :class:`MbtiType`."""
-
-    def __init__(self, catalog: GenreCatalog, profiles: Mapping[MbtiType, TypeProfile]):
-        missing = [t.value for t in ALL_TYPES if t not in profiles]
-        if missing:
-            raise Error(f"profile set must cover all 16 types; missing {missing}")
-        self.catalog = catalog
-        self._profiles = dict(profiles)
-
-    def __getitem__(self, mbti: MbtiType | str) -> TypeProfile:
-        return self._profiles[coerce_type(mbti)]
-
-    def __iter__(self) -> Iterator[MbtiType]:
-        return iter(self._profiles)
-
-    def __len__(self) -> int:
-        return len(self._profiles)
 
 
 def build_profiles(dataset: Dataset) -> ProfileSet:
@@ -91,11 +72,7 @@ def build_profiles(dataset: Dataset) -> ProfileSet:
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(support > 0, totals / support, np.nan)
         shares = np.where(support > 0, enjoyed / support, np.nan)
-    profiles = {
-        t: TypeProfile(mbti=t, mean=means[i], enjoyment_share=shares[i], support=support[i])
-        for i, t in enumerate(ALL_TYPES)
-    }
-    return ProfileSet(dataset.catalog, profiles)
+    return ProfileSet(dataset.catalog, means, shares, support)
 
 
 @dataclass(frozen=True)
@@ -122,22 +99,21 @@ def _rank(
     support: np.ndarray,
     candidates: Sequence[int],
     top_n: int,
-    min_support: int,
 ) -> tuple[RecommendationItem, ...]:
-    order = sorted(candidates, key=lambda g: (-scores[g], catalog.genres[g]))
-    items = []
-    for g in order[: max(0, top_n)]:
-        genre = catalog.genres[g]
-        items.append(
-            RecommendationItem(
-                genre=genre,
-                category=catalog.category_of(genre),
-                score=float(scores[g]),
-                support=int(support[g]),
-                low_support=int(support[g]) < min_support,
-            )
+    genres, categories = catalog.genres, catalog.column_categories
+    # Python floats and ints sort and convert faster than numpy scalars.
+    scores, support = scores.tolist(), support.tolist()
+    order = sorted(candidates, key=lambda g: (-scores[g], genres[g]))
+    return tuple(
+        RecommendationItem(
+            genre=genres[g],
+            category=categories[g],
+            score=scores[g],
+            support=support[g],
+            low_support=support[g] < MIN_SUPPORT,
         )
-    return tuple(items)
+        for g in order[: max(0, top_n)]
+    )
 
 
 def recommend_for_type(
@@ -145,27 +121,24 @@ def recommend_for_type(
     mbti: MbtiType | str,
     category: str | None = None,
     top_n: int = DEFAULT_TOP_N,
-    min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> Recommendation:
     """Rank genres for a personality type by its profile's mean rating.
 
     Genres nobody of the type has tried score 0 and land at the bottom;
-    genres with fewer than ``min_support`` raters are flagged, not dropped.
-    ``category`` restricts candidates to one catalog category.
+    genres with fewer than :data:`MIN_SUPPORT` raters are flagged, not
+    dropped.  ``category`` restricts candidates to one catalog category.
     """
-    t = coerce_type(mbti)
-    profile = profiles[t]
+    t = parse_mbti(mbti)
+    row = TYPE_INDEX[t]
     catalog = profiles.catalog
-    scores = np.nan_to_num(profile.mean, nan=0.0)
-    if category is None:
-        candidates: Sequence[int] = range(len(catalog))
-    else:
-        sl = catalog.category_slice(category)
-        candidates = range(sl.start, sl.stop)
+    candidates = range(len(catalog))
+    if category is not None:
+        candidates = candidates[catalog.category_slice(category)]
+    scores = np.nan_to_num(profiles.mean[row], nan=0.0)
     return Recommendation(
         mbti=t,
         strategy=STRATEGY_TYPE_PROFILE,
-        items=_rank(catalog, scores, profile.support, candidates, top_n, min_support),
+        items=_rank(catalog, scores, profiles.support[row], candidates, top_n),
     )
 
 
@@ -174,7 +147,6 @@ def recommend_for_user(
     user: SurveyRecord,
     top_n: int = DEFAULT_TOP_N,
     blend_weight: float = 0.5,
-    min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> Recommendation:
     """Personalize the type ranking with one respondent's own ratings.
 
@@ -185,29 +157,26 @@ def recommend_for_user(
     """
     if not 0.0 <= blend_weight <= 1.0:
         raise Error(f"blend weight must be within 0..1, got {blend_weight}")
-    profile = profiles[user.mbti]
     catalog = profiles.catalog
     if len(user.ratings) != len(catalog):
         raise Error(
             f"user has {len(user.ratings)} ratings, catalog has {len(catalog)} genres"
         )
+    row = TYPE_INDEX[user.mbti]
+    mean = profiles.mean[row]
     ratings = np.asarray(user.ratings, dtype=np.float64)
-    if not np.any(ratings > 0):
-        # Cold start: no personal evidence, so the result IS the type profile.
-        return recommend_for_type(
-            profiles, user.mbti, top_n=top_n, min_support=min_support
-        )
-    type_scores = np.nan_to_num(profile.mean, nan=0.0)
-    blended = blend_weight * ratings + (1.0 - blend_weight) * profile.mean
+    tried = ratings > 0
+    blended = blend_weight * ratings + (1.0 - blend_weight) * mean
     # Genres the user tried but the type never did: their own rating stands.
     blended = np.where(np.isnan(blended), ratings, blended)
-    scores = np.where(ratings > 0, blended, type_scores)
+    scores = np.where(tried, blended, np.nan_to_num(mean, nan=0.0))
     disliked = (ratings >= 1) & (ratings <= DISLIKE_MAX)
-    candidates = [g for g in range(len(catalog)) if not disliked[g]]
     return Recommendation(
         mbti=user.mbti,
-        strategy=STRATEGY_BLENDED,
-        items=_rank(catalog, scores, profile.support, candidates, top_n, min_support),
+        strategy=STRATEGY_BLENDED if tried.any() else STRATEGY_TYPE_PROFILE,
+        items=_rank(
+            catalog, scores, profiles.support[row], np.flatnonzero(~disliked).tolist(), top_n
+        ),
     )
 
 

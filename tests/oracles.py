@@ -318,3 +318,36 @@ def pair_table_oracle(records, mbti, ia, ib):
         if rec.mbti is mbti:
             counts[rec.ratings[ia], rec.ratings[ib]] += 1
     return counts
+
+
+def ranking_oracle(catalog, profile, category=None, ratings=None, blend_weight=0.5):
+    """Every candidate genre as ``(genre, category, score, support,
+    low_support)``, best first, scored one genre at a time from a
+    :func:`profiles_oracle` entry.
+
+    A genre's score is the type mean (0 where the type has no rater).  Given
+    a user's ``ratings``, a genre they rated 1 or 2 is left out, and one they
+    rated higher scores ``blend_weight`` toward their own rating (their
+    rating alone where the type has no rater).  Fewer than 5 raters is low
+    support.  Sorted by descending score, then genre name.
+    """
+    mean, _, support = profile
+    items = []
+    column = 0
+    for name, genres in catalog.categories:
+        for genre in genres:
+            g, column = column, column + 1
+            if category not in (None, name):
+                continue
+            type_mean = float(mean[g])
+            score = 0.0 if math.isnan(type_mean) else type_mean
+            if ratings is not None and ratings[g] > 0:
+                if ratings[g] <= 2:
+                    continue
+                own = float(ratings[g])
+                if math.isnan(type_mean):
+                    score = own
+                else:
+                    score = blend_weight * own + (1.0 - blend_weight) * type_mean
+            items.append((genre, name, score, int(support[g]), int(support[g]) < 5))
+    return sorted(items, key=lambda item: (-item[2], item[0]))

@@ -13,9 +13,9 @@ from typetaste.analysis import (
 from typetaste.domain import Dataset, MbtiType, SurveyRecord, default_catalog
 from typetaste.errors import (
     DimensionMismatch,
+    InvalidMbtiCode,
     LengthMismatch,
     UnknownGenre,
-    UnknownType,
 )
 
 
@@ -89,7 +89,7 @@ class TestPairRatingTable:
             pair_rating_table(pair_dataset, "intp", "Psychology", "Alchemy")
 
     def test_unknown_type_rejected(self, pair_dataset):
-        with pytest.raises(UnknownType):
+        with pytest.raises(InvalidMbtiCode):
             pair_rating_table(pair_dataset, "wxyz", "Psychology", "Religion & Spirituality")
 
     def test_csv_layout(self, pair_dataset):

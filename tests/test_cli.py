@@ -54,6 +54,7 @@ class TestSynth:
     def test_bad_seed_is_usage_error(self, tmp_path, capsys):
         assert run(["synth", "--paper-frequencies", "--seed", "-3"]) == 2
         assert run(["synth", "--paper-frequencies", "--seed", "nope"]) == 2
+        assert run(["synth", "--paper-frequencies", "--seed", str(2**64)]) == 2
         capsys.readouterr()
 
 

@@ -32,6 +32,7 @@ def _run(args: list[str], tmp_path: Path) -> subprocess.CompletedProcess:
 def test_demo_runs(demo, tmp_path):
     proc = _run([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert not any(tmp_path.iterdir()), "demo left files behind"
 
 
 def test_readme_library_use_runs(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from typetaste import domain
 from typetaste.domain import (
     ALL_TYPES,
     CATEGORY_ORDER,
@@ -93,8 +92,8 @@ class TestGenreCatalog:
         cat = default_catalog()
         assert "Psychology" in cat
         assert "Religion & Spirituality" in cat
-        assert cat.category_of("Psychology") == "nonfiction-books"
-        assert cat.category_of("Religion & Spirituality") == "nonfiction-books"
+        assert cat.column_categories[cat.index("Psychology")] == "nonfiction-books"
+        assert cat.column_categories[cat.index("Religion & Spirituality")] == "nonfiction-books"
 
     def test_genre_names_unique(self):
         cat = default_catalog()
@@ -106,7 +105,7 @@ class TestGenreCatalog:
             sl = cat.category_slice(name)
             for genre in cat.genres_in(name):
                 assert sl.start <= cat.index(genre) < sl.stop
-                assert cat.category_of(genre) == name
+                assert cat.column_categories[cat.index(genre)] == name
         # slices tile the full column range
         stops = [cat.category_slice(n) for n in cat.category_names]
         assert stops[0].start == 0
@@ -118,8 +117,6 @@ class TestGenreCatalog:
         cat = default_catalog()
         with pytest.raises(UnknownGenre):
             cat.index("No Such Genre")
-        with pytest.raises(UnknownGenre):
-            cat.category_of("No Such Genre")
 
     def test_unknown_category_raises(self):
         with pytest.raises(CatalogError):

@@ -1,0 +1,52 @@
+"""Every module-level import in the package, the tests and the demos is used.
+
+A name an import binds counts as used when it appears as a name anywhere in
+the same file, or when the file lists it in ``__all__``.  ``__future__``
+imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    path
+    for folder in ("src/typetaste", "tests", "demos")
+    for path in (ROOT / folder).glob("*.py")
+)
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name a module-level import binds, with its line number."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in FILES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = _used(tree)
+        unused += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in _imported(tree).items()
+            if name not in used
+        ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

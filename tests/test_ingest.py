@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import load_dataset_oracle
-from typetaste import ingest
-from typetaste.domain import ALL_TYPES, Dataset, MbtiType, default_catalog
+from typetaste.domain import ALL_TYPES, MbtiType, default_catalog
 from typetaste.errors import (
     DuplicateRespondent,
     EmptyTable,

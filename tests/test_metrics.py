@@ -1,12 +1,10 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
 from typetaste import kmeans, metrics, pca
 from typetaste.errors import (
-    DimensionMismatch,
     EmptyInput,
     Error,
     LengthMismatch,
@@ -298,26 +296,21 @@ class TestEvaluate:
         )
         labels = ["a"] * 10 + ["b"] * 10
         result = kmeans.fit(X, kmeans.KmeansConfig(k=2, seed=1, restarts=2))
-        return X, labels, result
+        return labels, result
 
     def test_separable_data_scores_perfect(self, rng):
-        X, labels, result = self._fit(rng)
-        report = evaluate(X, labels, result)
+        labels, result = self._fit(rng)
+        report = evaluate(labels, result)
         assert report.method == "kmeans++"
         assert report.homogeneity == pytest.approx(1.0, abs=1e-12)
         assert report.ari == 1.0
         assert report.silhouette > 0.9
         assert report.elapsed == result.elapsed
 
-    def test_wrong_space_rejected(self, rng):
-        X, labels, result = self._fit(rng)
-        with pytest.raises(DimensionMismatch):
-            evaluate(X[:, :2], labels, result)
-
     def test_length_mismatch_rejected(self, rng):
-        X, labels, result = self._fit(rng)
+        labels, result = self._fit(rng)
         with pytest.raises(LengthMismatch):
-            evaluate(X, labels[:-1], result)
+            evaluate(labels[:-1], result)
 
 
 class TestMethodComparison:

@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from oracles import profiles_oracle
-from typetaste import recommend
-from typetaste.domain import Dataset, MbtiType, SurveyRecord, default_catalog
-from typetaste.errors import CatalogError, EmptyInput, Error, UnknownType
+from oracles import profiles_oracle, ranking_oracle
+from typetaste.domain import (
+    ALL_TYPES,
+    TYPE_INDEX,
+    Dataset,
+    MbtiType,
+    SurveyRecord,
+    default_catalog,
+)
+from typetaste.errors import CatalogError, EmptyInput, Error, InvalidMbtiCode
 from typetaste.recommend import (
-    DEFAULT_MIN_SUPPORT,
+    MIN_SUPPORT,
     build_profiles,
     recommend_for_type,
     recommend_for_user,
@@ -39,17 +45,25 @@ def profile_dataset():
     return Dataset(cat, tuple(records))
 
 
+def _row(profiles, code):
+    """One type's (mean, enjoyment share, support) rows of a profile set."""
+    i = TYPE_INDEX[MbtiType(code)]
+    return profiles.mean[i], profiles.enjoyment_share[i], profiles.support[i]
+
+
 class TestBuildProfiles:
     def test_matches_record_by_record_tally(self, survey_dataset):
         profiles = build_profiles(survey_dataset.restrict_types(["intp", "estj", "enfj"]))
         expected = profiles_oracle(survey_dataset.records, len(survey_dataset.catalog))
         for t in ("intp", "estj", "enfj"):
             mean, share, support = expected[MbtiType(t)]
-            assert np.array_equal(profiles[t].mean, mean, equal_nan=True)
-            assert np.array_equal(profiles[t].enjoyment_share, share, equal_nan=True)
-            assert np.array_equal(profiles[t].support, support)
-        assert profiles["isfj"].support.sum() == 0
-        assert np.isnan(profiles["isfj"].mean).all()
+            got_mean, got_share, got_support = _row(profiles, t)
+            assert np.array_equal(got_mean, mean, equal_nan=True)
+            assert np.array_equal(got_share, share, equal_nan=True)
+            assert np.array_equal(got_support, support)
+        mean, _, support = _row(profiles, "isfj")
+        assert support.sum() == 0
+        assert np.isnan(mean).all()
 
     def test_no_respondents_raises(self):
         with pytest.raises(EmptyInput):
@@ -57,40 +71,42 @@ class TestBuildProfiles:
 
     def test_covers_all_types(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
-        assert len(profiles) == 16
+        shape = (len(ALL_TYPES), len(profile_dataset.catalog))
+        assert profiles.mean.shape == profiles.enjoyment_share.shape == shape
+        assert profiles.support.shape == shape
         assert profiles.catalog is profile_dataset.catalog
 
     def test_mean_excludes_no_experience(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
         cat = profile_dataset.catalog
-        p = profiles["intp"]
-        assert p.mean[cat.index("Psychology")] == pytest.approx(5.5)
-        assert p.support[cat.index("Psychology")] == 6
-        assert p.mean[cat.index("Religion & Spirituality")] == pytest.approx(1.75)
-        assert p.support[cat.index("Religion & Spirituality")] == 4
-        assert p.mean[cat.index("music_00")] == pytest.approx(5.0)
-        assert p.support[cat.index("music_00")] == 2
+        mean, _, support = _row(profiles, "intp")
+        assert mean[cat.index("Psychology")] == pytest.approx(5.5)
+        assert support[cat.index("Psychology")] == 6
+        assert mean[cat.index("Religion & Spirituality")] == pytest.approx(1.75)
+        assert support[cat.index("Religion & Spirituality")] == 4
+        assert mean[cat.index("music_00")] == pytest.approx(5.0)
+        assert support[cat.index("music_00")] == 2
 
     def test_untried_genre_is_nan_with_zero_support(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
         cat = profile_dataset.catalog
-        p = profiles["intp"]
-        assert np.isnan(p.mean[cat.index("fiction_00")])
-        assert p.support[cat.index("fiction_00")] == 0
+        mean, _, support = _row(profiles, "intp")
+        assert np.isnan(mean[cat.index("fiction_00")])
+        assert support[cat.index("fiction_00")] == 0
 
     def test_enjoyment_share(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
         cat = profile_dataset.catalog
-        p = profiles["intp"]
-        assert p.enjoyment_share[cat.index("Psychology")] == pytest.approx(1.0)
-        assert p.enjoyment_share[cat.index("games_00")] == pytest.approx(0.0)
-        assert p.enjoyment_share[cat.index("Religion & Spirituality")] == pytest.approx(0.0)
+        _, share, _ = _row(profiles, "intp")
+        assert share[cat.index("Psychology")] == pytest.approx(1.0)
+        assert share[cat.index("games_00")] == pytest.approx(0.0)
+        assert share[cat.index("Religion & Spirituality")] == pytest.approx(0.0)
 
     def test_absent_type_has_empty_profile(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
-        p = profiles["esfp"]
-        assert np.all(np.isnan(p.mean))
-        assert np.all(p.support == 0)
+        mean, _, support = _row(profiles, "esfp")
+        assert np.all(np.isnan(mean))
+        assert np.all(support == 0)
 
 
 class TestRecommendForType:
@@ -108,7 +124,7 @@ class TestRecommendForType:
     def test_low_support_boundary(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
         by_genre = {i.genre: i for i in recommend_for_type(profiles, "intp", top_n=121).items}
-        assert DEFAULT_MIN_SUPPORT == 5
+        assert MIN_SUPPORT == 5
         assert not by_genre["movies_00"].low_support  # support exactly 5
         assert by_genre["music_00"].low_support       # support 2
 
@@ -146,7 +162,7 @@ class TestRecommendForType:
 
     def test_unknown_type_rejected(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
-        with pytest.raises(UnknownType):
+        with pytest.raises(InvalidMbtiCode):
             recommend_for_type(profiles, "wxyz")
 
     def test_top_n_clamps(self, profile_dataset):
@@ -212,6 +228,39 @@ class TestRecommendForUser:
         user = self._user(profile_dataset)
         with pytest.raises(Error):
             recommend_for_user(profiles, user, blend_weight=1.5)
+
+
+class TestAgainstRankingOracle:
+    """Every ranking of the reference-sized survey equals the plain-Python
+    oracle's, field for field."""
+
+    @staticmethod
+    def _fields(rec):
+        return [(i.genre, i.category, i.score, i.support, i.low_support) for i in rec.items]
+
+    def test_type_rankings(self, survey_dataset):
+        profiles = build_profiles(survey_dataset)
+        catalog = survey_dataset.catalog
+        expected = profiles_oracle(survey_dataset.records, len(catalog))
+        for t in ALL_TYPES:
+            for category in (None,) + catalog.category_names:
+                rec = recommend_for_type(profiles, t, category=category, top_n=121)
+                assert rec.mbti is t and rec.strategy == "type-profile"
+                assert self._fields(rec) == ranking_oracle(
+                    catalog, expected[t], category=category
+                )
+
+    def test_user_rankings(self, survey_dataset):
+        profiles = build_profiles(survey_dataset)
+        catalog = survey_dataset.catalog
+        expected = profiles_oracle(survey_dataset.records, len(catalog))
+        for user in survey_dataset.records[::50]:
+            for blend in (0.0, 0.5, 1.0):
+                rec = recommend_for_user(profiles, user, top_n=121, blend_weight=blend)
+                assert rec.mbti is user.mbti and rec.strategy == "blended"
+                assert self._fields(rec) == ranking_oracle(
+                    catalog, expected[user.mbti], ratings=user.ratings, blend_weight=blend
+                )
 
 
 class TestRendering:
