@@ -30,11 +30,10 @@ print(f"  {np.round(projected.mean(axis=0), 12)[:4]} ...")
 print()
 print("Clustering in the reduced space and exporting a scatter layout...")
 result = kmeans.fit(X, kmeans.KmeansConfig(k=16, reduce_first=2, seed=7, restarts=5))
-rows = analysis.scatter_export(
-    projected[:, :2], dataset.types, assignments=result.assignments
-)
-centroids = sum(1 for r in rows if r.is_centroid)
+text = analysis.scatter_to_csv(projected[:, :2], dataset.type_codes, result.assignments)
+rows = text.count("\n") - 1
+centroids = len(np.unique(result.assignments))
 with tempfile.TemporaryDirectory(prefix="typetaste_") as tmp:
     out = Path(tmp) / "scatter.csv"
-    out.write_text(analysis.scatter_to_csv(rows), encoding="utf-8")
-    print(f"  wrote {len(rows)} rows ({centroids} centroid markers) to {out}")
+    out.write_text(text, encoding="utf-8")
+    print(f"  wrote {rows} rows ({centroids} centroid markers) to {out}")

@@ -14,12 +14,12 @@ print(
 )
 print()
 
-rows = metrics.run_method_comparison(dataset, k=16, seed=0, restarts=10, pca_dims=2)
+rows = metrics.run_method_comparison(dataset, k=16, seed=0, restarts=10)
 print(metrics.comparison_to_csv(rows))
 print("Columns: seconds spent fitting, then cluster/class agreement scores")
 print("(first five in [0,1], adjusted scores near 0 for chance) and the")
 print("geometric silhouette in [-1,1].")
 print()
 print("Close-to-chance scores here mirror what weak class structure looks")
-print("like; rerun with a sharper rating model (see SynthConfig) to watch")
-print("every agreement column rise.")
+print("like: each synthetic rating is drawn with standard deviation 1 around")
+print("its type's planted mean, so the types' rating profiles overlap.")

@@ -17,7 +17,6 @@ from .domain import (
     save_catalog,
 )
 from .ingest import (
-    RatingModel,
     SynthConfig,
     TypeFrequencyTable,
     generate_synthetic,
@@ -35,7 +34,6 @@ __all__ = [
     "Dataset",
     "GenreCatalog",
     "MbtiType",
-    "RatingModel",
     "SurveyRecord",
     "SynthConfig",
     "TypeFrequencyTable",

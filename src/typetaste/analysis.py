@@ -1,5 +1,6 @@
 """Descriptive views of a survey: joint rating tables for genre pairs,
-inclination summaries, and projected scatter exports for plotting.
+inclination summaries, and the CSV export of PCA-projected points, with
+their type labels, clusters and centroids, for plotting.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
+    ALL_TYPES,
     ENJOYMENT_THRESHOLD,
     RATING_MAX,
     TYPE_INDEX,
@@ -22,6 +24,8 @@ from .domain import (
 from .errors import DimensionMismatch, LengthMismatch, SchemaMismatch
 
 N_RATINGS = RATING_MAX + 1
+
+_TYPE_VALUES = np.array([t.value for t in ALL_TYPES])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,82 +145,51 @@ def inclination(table: PairRatingTable) -> InclinationSummary:
     )
 
 
-@dataclass(frozen=True)
-class ScatterRow:
-    """One plottable point: projected coordinates plus display attributes.
-
-    Centroid rows carry an empty ``mbti`` and ``is_centroid=True``; rows from
-    an unclustered export have ``cluster=None``.
-    """
-
-    coords: tuple[float, ...]
-    mbti: str
-    cluster: int | None
-    is_centroid: bool = False
-
-
-def scatter_export(
+def scatter_to_csv(
     coords: np.ndarray,
-    types: Sequence[MbtiType | str],
+    type_codes: np.ndarray,
     assignments: Sequence[int] | None = None,
-) -> list[ScatterRow]:
-    """Turn projected coordinates into scatter rows.
+    types: Sequence[MbtiType | str] | None = None,
+) -> str:
+    """CSV text with ``pc1,pc2[,pc3],mbti,cluster,is_centroid`` columns: one
+    row per projected point, labelled with the type of its :data:`TYPE_INDEX`
+    code.
 
-    With ``assignments`` given, one centroid row per cluster is appended,
-    placed at the mean of the cluster's projected points (the projection is
-    affine, so this is the projected centroid).
+    With ``assignments`` given, each point row carries its cluster and one
+    centroid row per cluster follows, placed at the mean of the cluster's
+    projected points (the projection is affine, so this is the projected
+    centroid).  ``types``, when given, keeps only the point rows of those
+    types; centroid rows are always written.
     """
     Z = np.asarray(coords, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] not in (2, 3):
         raise DimensionMismatch(f"coordinates must be (n, 2) or (n, 3), got {Z.shape}")
-    if len(types) != Z.shape[0]:
-        raise LengthMismatch(f"{len(types)} type labels for {Z.shape[0]} points")
-    labels: np.ndarray | None = None
-    if assignments is not None:
-        labels = np.asarray(assignments, dtype=np.int64)
-        if labels.shape != (Z.shape[0],):
-            raise LengthMismatch(
-                f"{labels.size} assignments for {Z.shape[0]} points"
-            )
-    rows = [
-        ScatterRow(
-            coords=tuple(float(v) for v in Z[i]),
-            mbti=parse_mbti(types[i]).value,
-            cluster=None if labels is None else int(labels[i]),
-        )
-        for i in range(Z.shape[0])
-    ]
-    if labels is not None:
-        for cluster in np.unique(labels):
-            center = Z[labels == cluster].mean(axis=0)
-            rows.append(
-                ScatterRow(
-                    coords=tuple(float(v) for v in center),
-                    mbti="",
-                    cluster=int(cluster),
-                    is_centroid=True,
-                )
-            )
-    return rows
-
-
-def scatter_to_csv(rows: Sequence[ScatterRow]) -> str:
-    """CSV text with ``pc1,pc2[,pc3],mbti,cluster,is_centroid`` columns."""
-    if not rows:
+    codes = np.asarray(type_codes)
+    if codes.shape != (Z.shape[0],):
+        raise LengthMismatch(f"{codes.size} type labels for {Z.shape[0]} points")
+    if assignments is None:
+        clusters = np.full(Z.shape[0], "")
+        centroids = []
+    else:
+        clusters = np.asarray(assignments, dtype=np.int64)
+        if clusters.shape != (Z.shape[0],):
+            raise LengthMismatch(f"{clusters.size} assignments for {Z.shape[0]} points")
+        centroids = [
+            [*map(repr, Z[clusters == c].mean(axis=0).tolist()), "", c, 1]
+            for c in np.unique(clusters).tolist()
+        ]
+    if types is not None:
+        keep = np.isin(codes, [TYPE_INDEX[parse_mbti(t)] for t in types])
+        Z, codes, clusters = Z[keep], codes[keep], clusters[keep]
+    if Z.shape[0] == 0 and not centroids:
         raise LengthMismatch("no scatter rows to serialize")
-    dims = len(rows[0].coords)
-    if any(len(r.coords) != dims for r in rows):
-        raise DimensionMismatch("scatter rows mix 2-D and 3-D coordinates")
+    mbti = _TYPE_VALUES[codes].tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    dims = Z.shape[1]
     writer.writerow([*(f"pc{i + 1}" for i in range(dims)), "mbti", "cluster", "is_centroid"])
-    for row in rows:
-        writer.writerow(
-            [
-                *(repr(v) for v in row.coords),
-                row.mbti,
-                "" if row.cluster is None else row.cluster,
-                int(row.is_centroid),
-            ]
-        )
+    writer.writerows(
+        [*map(repr, xyz), t, c, 0] for xyz, t, c in zip(Z.tolist(), mbti, clusters.tolist())
+    )
+    writer.writerows(centroids)
     return buf.getvalue()

@@ -190,11 +190,8 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     else:
         coords = pca.project(pca.fit_pca(X, args.dims), X)
         assignments = None
-    rows = analysis.scatter_export(coords, dataset.types, assignments)
-    if args.types:
-        wanted = {parse_mbti(t).value for t in args.types.split(",")}
-        rows = [r for r in rows if r.is_centroid or r.mbti in wanted]
-    _emit(analysis.scatter_to_csv(rows), args.output)
+    types = args.types.split(",") if args.types else None
+    _emit(analysis.scatter_to_csv(coords, dataset.type_codes, assignments, types), args.output)
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -82,7 +83,12 @@ class TypeFrequencyTable:
         normalized: dict[MbtiType, int] = {}
         for key, value in raw.items():
             t = parse_mbti(key)
-            v = int(value)
+            try:
+                v = operator.index(value)
+            except TypeError:
+                v = None
+            if v is None or isinstance(value, bool):
+                raise Error(f"count for {t} must be an integer, got {type(value).__name__}")
             if v < 0:
                 raise Error(f"negative count for {t}: {v}")
             if t in normalized:
@@ -115,87 +121,57 @@ def survey_frequency_table() -> TypeFrequencyTable:
     return TypeFrequencyTable(SURVEY_TYPE_COUNTS)
 
 
-@dataclass(frozen=True, eq=False)
-class RatingModel:
-    """Mean rating per (type, genre) plus a shared sampling dispersion.
+def planted_means(catalog: GenreCatalog) -> np.ndarray:
+    """The (16, n_genres) mean rating per type and catalog genre that
+    synthetic ratings are sampled around, rows in canonical type order.
 
-    ``means`` has one row per type in canonical alphabetical order and one
-    column per catalog genre.  Sampling draws a normal around each mean,
-    rounds to the nearest integer, and clips into 0..6.
+    Each (type, genre) mean is a stable hash-derived point in ``[1, 5]``,
+    so distinct types get distinct preference profiles without any RNG
+    state.  When the catalog contains the named nonfiction genres, the
+    four most frequent survey types are planted to favor Psychology
+    (mean 5) over Religion & Spirituality (mean 2), mirroring the
+    inclination seen in the real responses.
     """
-
-    means: np.ndarray
-    dispersion: float = 1.0
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.means, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != len(ALL_TYPES):
-            raise Error(f"means must be ({len(ALL_TYPES)}, n_genres), got {m.shape}")
-        if np.any(m < 0) or np.any(m > 6):
-            raise Error("rating means must lie within the 0..6 scale")
-        if not self.dispersion >= 0:
-            raise Error(f"dispersion must be non-negative, got {self.dispersion}")
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "dispersion", float(self.dispersion))
-
-    @classmethod
-    def planted(cls, catalog: GenreCatalog) -> "RatingModel":
-        """Deterministic per-type affinity structure over a catalog, sampled
-        with dispersion 1.
-
-        Each (type, genre) mean is a stable hash-derived point in ``[1, 5]``,
-        so distinct types get distinct preference profiles without any RNG
-        state.  When the catalog contains the named nonfiction genres, the
-        four most frequent survey types are planted to favor Psychology
-        (mean 5) over Religion & Spirituality (mean 2), mirroring the
-        inclination seen in the real responses.
-        """
-        means = np.empty((len(ALL_TYPES), len(catalog)), dtype=np.float64)
-        for ti, t in enumerate(ALL_TYPES):
-            for gi, genre in enumerate(catalog.genres):
-                u = zlib.crc32(f"{t.value}|{genre}".encode("utf-8")) / 2**32
-                means[ti, gi] = 1.0 + 4.0 * u
-        planted_pairs = {PSYCHOLOGY: 5.0, RELIGION_SPIRITUALITY: 2.0}
-        for code in TOP_SURVEY_TYPES:
-            ti = ALL_TYPES.index(parse_mbti(code))
-            for genre, value in planted_pairs.items():
-                if genre in catalog:
-                    means[ti, catalog.index(genre)] = value
-        return cls(means=means)
+    means = np.empty((len(ALL_TYPES), len(catalog)), dtype=np.float64)
+    for ti, t in enumerate(ALL_TYPES):
+        for gi, genre in enumerate(catalog.genres):
+            u = zlib.crc32(f"{t.value}|{genre}".encode("utf-8")) / 2**32
+            means[ti, gi] = 1.0 + 4.0 * u
+    planted_pairs = {PSYCHOLOGY: 5.0, RELIGION_SPIRITUALITY: 2.0}
+    for code in TOP_SURVEY_TYPES:
+        ti = ALL_TYPES.index(parse_mbti(code))
+        for genre, value in planted_pairs.items():
+            if genre in catalog:
+                means[ti, catalog.index(genre)] = value
+    return means
 
 
 @dataclass(frozen=True, eq=False)
 class SynthConfig:
-    """Everything that determines a synthetic dataset: seed, per-type counts,
-    catalog, and rating model.  Identical configs produce identical datasets.
+    """Everything that determines a synthetic dataset: seed, per-type counts
+    and catalog.  Identical configs produce identical datasets.
     """
 
     seed: int
     frequencies: TypeFrequencyTable = field(default_factory=survey_frequency_table)
     catalog: GenreCatalog = field(default_factory=default_catalog)
-    rating_model: RatingModel | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.frequencies.total <= 0:
             raise Error("frequency table must have at least one respondent")
-        if self.rating_model is None:
-            object.__setattr__(self, "rating_model", RatingModel.planted(self.catalog))
-        if self.rating_model.means.shape[1] != len(self.catalog):
-            raise Error(
-                f"rating model covers {self.rating_model.means.shape[1]} genres, "
-                f"catalog has {len(self.catalog)}"
-            )
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
     """Sample a dataset that honors ``config.frequencies`` exactly.
 
-    Types are generated in canonical alphabetical order with ids
+    Each rating is a normal draw with standard deviation 1 around its
+    :func:`planted_means` entry, rounded and clipped into 0..6.  Types are
+    generated in canonical alphabetical order with ids
     ``<code>-<nnn>``, so the output is fully determined by the config.
     """
     rng = np.random.default_rng(config.seed)
-    model = config.rating_model
+    means = planted_means(config.catalog)
     width = len(config.catalog)
     ids: list[str] = []
     codes: list[int] = []
@@ -204,7 +180,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         count = config.frequencies.count(t)
         if count == 0:
             continue
-        raw = rng.normal(loc=model.means[ti], scale=model.dispersion, size=(count, width))
+        raw = rng.normal(loc=means[ti], scale=1.0, size=(count, width))
         blocks.append(np.clip(np.rint(raw), 0, 6).astype(np.int8))
         ids.extend(map(f"{t.value}-{{:03d}}".format, range(count)))
         codes.extend(repeat(ti, count))
@@ -323,8 +299,8 @@ class SkewSummary:
     top_types: tuple[tuple[MbtiType, int], ...]
 
 
-def skew_summary(table: TypeFrequencyTable, top_n: int = 4) -> SkewSummary:
-    """Introvert share and the first ``top_n`` types of
+def skew_summary(table: TypeFrequencyTable) -> SkewSummary:
+    """Introvert share and the first four types of
     :meth:`TypeFrequencyTable.ranked`.
 
     An empty table has no meaningful skew and raises :class:`EmptyTable`.
@@ -336,5 +312,5 @@ def skew_summary(table: TypeFrequencyTable, top_n: int = 4) -> SkewSummary:
     return SkewSummary(
         total=total,
         introvert_fraction=introverts / total,
-        top_types=table.ranked()[: max(0, top_n)],
+        top_types=table.ranked()[:4],
     )

@@ -1,12 +1,14 @@
 """Agreement metrics between class labels and cluster assignments, plus the
 method-comparison report that ties clustering and evaluation together.
 
-All entropies and mutual information use natural logarithms.  Homogeneity,
-completeness, and V-measure follow the conditional-entropy definitions, the
-adjusted Rand index uses exact integer pair counting, and adjusted mutual
-information subtracts the expected MI of random labelings with the same
-marginals (hypergeometric model) and normalizes by ``max(H(classes),
-H(clusters))``.
+Every agreement score takes the int64 count matrix that :func:`contingency`
+builds from two label sequences, such as a dataset's ``type_codes`` and a
+fit's assignments.  All entropies and mutual information use natural
+logarithms.  Homogeneity, completeness, and V-measure follow the
+conditional-entropy definitions, the adjusted Rand index uses exact integer
+pair counting, and adjusted mutual information subtracts the expected MI of
+random labelings with the same marginals (hypergeometric model) and
+normalizes by ``max(H(classes), H(clusters))``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import io
 import json
 import math
 from dataclasses import astuple, dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,87 +36,48 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Joint label counts: rows index true classes, columns index clusters,
-    both in order of first appearance in the label sequences."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 2 or c.size == 0:
-            raise EmptyInput(f"contingency table must be 2-D and non-empty, got {c.shape}")
-        if np.any(c < 0):
-            raise Error("contingency counts must be non-negative")
-        if int(c.sum()) == 0:
-            raise EmptyInput("contingency table has no samples")
-        object.__setattr__(self, "counts", c)
-
-    @cached_property
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @cached_property
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+def _first_appearance_codes(labels: Sequence) -> tuple[np.ndarray, int]:
+    """Each label's rank among the distinct labels in order of first
+    appearance, and the number of distinct labels."""
+    _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse], first.size
 
 
-def _codes(labels: Sequence) -> np.ndarray:
-    index: dict = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, value in enumerate(labels):
-        key = value.item() if isinstance(value, np.generic) else value
-        out[i] = index.setdefault(key, len(index))
-    return out
-
-
-def contingency(labels_true: Sequence, labels_pred: Sequence) -> ContingencyTable:
-    """Build the joint count table for two equal-length label sequences."""
+def contingency(labels_true: Sequence, labels_pred: Sequence) -> np.ndarray:
+    """The int64 joint count matrix of two equal-length label sequences:
+    rows index true classes, columns index clusters, both in order of first
+    appearance in the label sequences."""
     if len(labels_true) != len(labels_pred):
         raise LengthMismatch(
             f"label sequences differ in length: {len(labels_true)} vs {len(labels_pred)}"
         )
     if len(labels_true) == 0:
         raise EmptyInput("cannot build a contingency table from zero labels")
-    rows = _codes(labels_true)
-    cols = _codes(labels_pred)
-    counts = np.zeros((rows.max() + 1, cols.max() + 1), dtype=np.int64)
-    np.add.at(counts, (rows, cols), 1)
-    return ContingencyTable(counts)
+    rows, n_rows = _first_appearance_codes(labels_true)
+    cols, n_cols = _first_appearance_codes(labels_pred)
+    cells = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
+    return cells.astype(np.int64, copy=False).reshape(n_rows, n_cols)
 
 
-def _entropy(sums: np.ndarray, n: int) -> float:
-    p = sums[sums > 0] / n
+def _entropy(sums: np.ndarray) -> float:
+    p = sums[sums > 0] / sums.sum()
     return float(-(p * np.log(p)).sum())
 
 
-def class_entropy(table: ContingencyTable) -> float:
-    """H of the true-class marginal, in nats."""
-    return _entropy(table.row_sums, table.n)
-
-
-def cluster_entropy(table: ContingencyTable) -> float:
-    """H of the cluster marginal, in nats."""
-    return _entropy(table.col_sums, table.n)
-
-
-def mutual_information(table: ContingencyTable) -> float:
+def mutual_information(table: np.ndarray) -> float:
     """MI between the two labelings, in nats; never negative."""
-    n = table.n
-    rows, cols = np.nonzero(table.counts)
-    nij = table.counts[rows, cols].astype(np.float64)
-    a = table.row_sums[rows].astype(np.float64)
-    b = table.col_sums[cols].astype(np.float64)
+    n = int(table.sum())
+    rows, cols = np.nonzero(table)
+    nij = table[rows, cols].astype(np.float64)
+    a = table.sum(axis=1)[rows].astype(np.float64)
+    b = table.sum(axis=0)[cols].astype(np.float64)
     mi = float(((nij / n) * (np.log(nij * n) - np.log(a * b))).sum())
     return max(mi, 0.0)
 
 
-def homogeneity_completeness_v(table: ContingencyTable) -> tuple[float, float, float]:
+def homogeneity_completeness_v(table: np.ndarray) -> tuple[float, float, float]:
     """Homogeneity, completeness, and their harmonic mean (V-measure).
 
     Homogeneity is 1 - H(classes | clusters)/H(classes), which equals
@@ -123,8 +85,8 @@ def homogeneity_completeness_v(table: ContingencyTable) -> tuple[float, float, f
     homogeneous, so that edge scores 1.  Completeness is symmetric, and
     V-measure is 0 when both are 0.
     """
-    h_classes = class_entropy(table)
-    h_clusters = cluster_entropy(table)
+    h_classes = _entropy(table.sum(axis=1))
+    h_clusters = _entropy(table.sum(axis=0))
     mi = mutual_information(table)
     homogeneity = 1.0 if h_classes == 0.0 else min(1.0, mi / h_classes)
     completeness = 1.0 if h_clusters == 0.0 else min(1.0, mi / h_clusters)
@@ -135,20 +97,19 @@ def homogeneity_completeness_v(table: ContingencyTable) -> tuple[float, float, f
     return homogeneity, completeness, v_measure
 
 
-def adjusted_rand(table: ContingencyTable) -> float:
+def adjusted_rand(table: np.ndarray) -> float:
     """Pair-counting Rand index, chance-corrected.
 
     Computed with exact integer arithmetic; when the expected and maximum
     index coincide (for example both labelings put everything in one group)
     the score is defined as 1.
     """
-    n = table.n
+    n = int(table.sum())
     if n < 2:
         raise TooFewSamples(f"adjusted Rand needs at least 2 samples, got {n}")
-    cells = [int(x) for x in table.counts.ravel() if x >= 2]
-    index = sum(math.comb(x, 2) for x in cells)
-    sum_a = sum(math.comb(int(x), 2) for x in table.row_sums)
-    sum_b = sum(math.comb(int(x), 2) for x in table.col_sums)
+    index = sum(math.comb(x, 2) for x in table.ravel().tolist())
+    sum_a = sum(math.comb(x, 2) for x in table.sum(axis=1).tolist())
+    sum_b = sum(math.comb(x, 2) for x in table.sum(axis=0).tolist())
     pairs = math.comb(n, 2)
     numerator = 2 * (index * pairs - sum_a * sum_b)
     denominator = pairs * (sum_a + sum_b) - 2 * sum_a * sum_b
@@ -157,24 +118,21 @@ def adjusted_rand(table: ContingencyTable) -> float:
     return numerator / denominator
 
 
-def expected_mutual_information(table: ContingencyTable) -> float:
+def expected_mutual_information(table: np.ndarray) -> float:
     """Expected MI over random labelings with these exact marginals.
 
     Averages cell MI contributions under the hypergeometric distribution of
     each cell count given fixed row and column sums, with factorials kept in
     log space for stability.
     """
-    n = table.n
-    a = table.row_sums.astype(np.int64)
-    b = table.col_sums.astype(np.int64)
+    n = int(table.sum())
+    col_sums = table.sum(axis=0).tolist()
     log_fact = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
     emi = 0.0
-    for ai in a:
-        ai = int(ai)
+    for ai in table.sum(axis=1).tolist():
         if ai == 0:
             continue
-        for bj in b:
-            bj = int(bj)
+        for bj in col_sums:
             if bj == 0:
                 continue
             lo = max(1, ai + bj - n)
@@ -199,18 +157,18 @@ def expected_mutual_information(table: ContingencyTable) -> float:
     return max(emi, 0.0)
 
 
-def adjusted_mutual_information(table: ContingencyTable) -> float:
+def adjusted_mutual_information(table: np.ndarray) -> float:
     """MI corrected for chance and normalized by the larger marginal entropy.
 
     Scores near 0 for random labelings of any cluster count and 1 for a
     perfect match; both-sides-degenerate tables (one class, one cluster)
     score 1 by convention.
     """
-    n = table.n
+    n = int(table.sum())
     if n < 2:
         raise TooFewSamples(f"adjusted MI needs at least 2 samples, got {n}")
-    h_classes = class_entropy(table)
-    h_clusters = cluster_entropy(table)
+    h_classes = _entropy(table.sum(axis=1))
+    h_clusters = _entropy(table.sum(axis=0))
     if h_classes == 0.0 and h_clusters == 0.0:
         return 1.0
     mi = mutual_information(table)
@@ -283,10 +241,6 @@ def evaluate(labels_true: Sequence, result: km.ClusteringResult) -> EvaluationRe
     The silhouette is geometric, so it is taken in ``result.space``, the
     space the fit clustered (the reduced space for PCA-based fits).
     """
-    if len(labels_true) != len(result.assignments):
-        raise LengthMismatch(
-            f"{len(labels_true)} labels for {len(result.assignments)} assignments"
-        )
     table = contingency(labels_true, result.assignments)
     homogeneity, completeness, v_measure = homogeneity_completeness_v(table)
     return EvaluationReport(
@@ -303,6 +257,9 @@ def evaluate(labels_true: Sequence, result: km.ClusteringResult) -> EvaluationRe
 
 ALL_METHODS: tuple[str, ...] = (km.INIT_KMEANSPP, km.INIT_RANDOM, km.METHOD_PCA)
 
+# The dimension the pca-based method reduces each category to before k-means.
+PCA_DIMS = 2
+
 # The report's column names, one per EvaluationReport field in field order.
 REPORT_COLUMNS: tuple[str, ...] = (
     "method",
@@ -316,7 +273,7 @@ REPORT_COLUMNS: tuple[str, ...] = (
 )
 
 
-def _method_config(method: str, k: int, seed: int, restarts: int, pca_dims: int) -> km.KmeansConfig:
+def _method_config(method: str, k: int, seed: int, restarts: int) -> km.KmeansConfig:
     """The fit a comparison method names; ``pca`` is short for ``pca-based``."""
     method = km.METHOD_PCA if method == "pca" else method
     if method not in ALL_METHODS:
@@ -324,7 +281,7 @@ def _method_config(method: str, k: int, seed: int, restarts: int, pca_dims: int)
     return km.KmeansConfig(
         k=k,
         init=km.INIT_RANDOM if method == km.INIT_RANDOM else km.INIT_KMEANSPP,
-        reduce_first=pca_dims if method == km.METHOD_PCA else None,
+        reduce_first=PCA_DIMS if method == km.METHOD_PCA else None,
         seed=seed,
         restarts=restarts,
     )
@@ -337,7 +294,6 @@ def run_method_comparison(
     categories: Sequence[str] | None = None,
     seed: int = 0,
     restarts: int = km.DEFAULT_RESTARTS,
-    pca_dims: int = 2,
 ) -> list[tuple[str, EvaluationReport]]:
     """Cluster each category's rating columns with each method and score the
     results against the respondents' personality types.
@@ -348,7 +304,6 @@ def run_method_comparison(
     """
     if categories is None:
         categories = dataset.catalog.category_names
-    labels = dataset.types
     cell_seeds = np.random.SeedSequence(seed).generate_state(
         len(categories) * len(methods), np.uint64
     )
@@ -357,10 +312,10 @@ def run_method_comparison(
     for category in categories:
         X = dataset.feature_matrix(category)
         for method in methods:
-            config = _method_config(method, k, int(cell_seeds[cell]), restarts, pca_dims)
+            config = _method_config(method, k, int(cell_seeds[cell]), restarts)
             cell += 1
             result = km.fit(X, config)
-            rows.append((category, evaluate(labels, result)))
+            rows.append((category, evaluate(dataset.type_codes, result)))
     return rows
 
 

@@ -26,6 +26,24 @@ from typetaste.errors import DuplicateRespondent, InvalidRating, SchemaMismatch
 from typetaste.ingest import RESPONDENT_ID_RE
 
 
+def contingency_oracle(labels_true, labels_pred) -> np.ndarray:
+    """Joint counts, each label sequence coded one label at a time through a
+    dict of first appearances (numpy scalars keyed by their Python value)."""
+
+    def codes(labels):
+        index: dict = {}
+        out = np.empty(len(labels), dtype=np.int64)
+        for i, value in enumerate(labels):
+            key = value.item() if isinstance(value, np.generic) else value
+            out[i] = index.setdefault(key, len(index))
+        return out
+
+    rows, cols = codes(labels_true), codes(labels_pred)
+    counts = np.zeros((rows.max() + 1, cols.max() + 1), dtype=np.int64)
+    np.add.at(counts, (rows, cols), 1)
+    return counts
+
+
 def entropy_oracle(labels) -> float:
     n = len(labels)
     counts = Counter(labels)

@@ -17,6 +17,7 @@ import pytest
 from oracles import (
     adjusted_rand_oracle,
     best_partition_sse_oracle,
+    entropy_oracle,
     expected_mi_permutation_oracle,
     hcv_oracle,
     jacobi_eigh_oracle,
@@ -171,7 +172,7 @@ def test_04_perfect_clustering_fixture(survey_dataset):
     labels = [t.value for t in survey_dataset.types]
     codes = {code: i for i, code in enumerate(dict.fromkeys(labels))}
     table = metrics.contingency(labels, [codes[v] for v in labels])
-    assert table.counts.shape == (16, 16)
+    assert table.shape == (16, 16)
 
     h, c, v = metrics.homogeneity_completeness_v(table)
     for score in (
@@ -191,11 +192,11 @@ def test_05_metric_identities():
     # label entropies, far beyond its harmonic-mean formulation's rounding.
     for _ in range(500):
         n = int(rng.integers(2, 40))
-        table = metrics.contingency(
-            rng.integers(0, 5, size=n), rng.integers(0, 5, size=n)
-        )
+        a = rng.integers(0, 5, size=n)
+        b = rng.integers(0, 5, size=n)
+        table = metrics.contingency(a, b)
         _, _, v = metrics.homogeneity_completeness_v(table)
-        total = metrics.class_entropy(table) + metrics.cluster_entropy(table)
+        total = entropy_oracle(a) + entropy_oracle(b)
         if total == 0.0:
             assert v == 1.0
         else:
@@ -211,9 +212,7 @@ def test_05_metric_identities():
         for score in (h, c, v):
             assert 0.0 <= score <= 1.0
         mi = metrics.mutual_information(table)
-        assert 0.0 <= mi <= min(
-            metrics.class_entropy(table), metrics.cluster_entropy(table)
-        ) + 1e-9
+        assert 0.0 <= mi <= min(entropy_oracle(a), entropy_oracle(b)) + 1e-9
         ari = metrics.adjusted_rand(table)
         assert -1.0 - 1e-9 <= ari <= 1.0 + 1e-9
         ami = metrics.adjusted_mutual_information(table)

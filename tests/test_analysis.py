@@ -7,10 +7,9 @@ from typetaste.analysis import (
     inclination,
     pair_rating_table,
     pair_table_to_csv,
-    scatter_export,
     scatter_to_csv,
 )
-from typetaste.domain import Dataset, MbtiType, SurveyRecord, default_catalog
+from typetaste.domain import TYPE_INDEX, Dataset, MbtiType, SurveyRecord, default_catalog
 from typetaste.errors import (
     DimensionMismatch,
     InvalidMbtiCode,
@@ -133,41 +132,65 @@ class TestInclination:
         assert summary.leaning is None
 
 
+def _csv_rows(text):
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
 class TestScatterExport:
+    INTP, ENFJ = TYPE_INDEX["intp"], TYPE_INDEX["enfj"]
+
     def test_rows_without_clusters(self, rng):
         Z = rng.normal(size=(5, 2))
-        rows = scatter_export(Z, ["intp"] * 5)
+        rows = _csv_rows(scatter_to_csv(Z, np.full(5, self.INTP)))
         assert len(rows) == 5
-        assert all(r.cluster is None and not r.is_centroid for r in rows)
-        assert rows[0].coords == tuple(Z[0])
+        assert all(r[2:] == ["intp", "", "0"] for r in rows)
+        assert [float(v) for v in rows[0][:2]] == Z[0].tolist()
 
     def test_centroid_rows_at_cluster_means(self, rng):
         Z = rng.normal(size=(6, 3))
         assignments = [0, 0, 1, 1, 1, 0]
-        rows = scatter_export(Z, ["intp"] * 6, assignments)
+        rows = _csv_rows(scatter_to_csv(Z, np.full(6, self.INTP), assignments))
         assert len(rows) == 8
-        centroids = [r for r in rows if r.is_centroid]
-        assert len(centroids) == 2
+        assert [r[-2] for r in rows[:6]] == ["0", "0", "1", "1", "1", "0"]
+        centroids = [r for r in rows if r[-1] == "1"]
+        assert rows[6:] == centroids
+        assert [r[-3:] for r in centroids] == [["", "0", "1"], ["", "1", "1"]]
         expected0 = Z[[0, 1, 5]].mean(axis=0)
-        got0 = next(r for r in centroids if r.cluster == 0)
-        assert np.allclose(got0.coords, expected0, atol=1e-15)
-        assert got0.mbti == ""
+        assert [float(v) for v in centroids[0][:3]] == expected0.tolist()
+
+    def test_types_filter_keeps_centroids(self, rng):
+        Z = rng.normal(size=(4, 2))
+        codes = [self.INTP, self.ENFJ, self.ENFJ, self.INTP]
+        rows = _csv_rows(scatter_to_csv(Z, codes, [0, 0, 1, 1], types=["enfj"]))
+        assert [(r[2], r[3], r[4]) for r in rows] == [
+            ("enfj", "0", "0"), ("enfj", "1", "0"), ("", "0", "1"), ("", "1", "1"),
+        ]
+        assert [float(v) for v in rows[2][:2]] == Z[[0, 1]].mean(axis=0).tolist()
+        with pytest.raises(InvalidMbtiCode):
+            scatter_to_csv(Z, codes, types=["xxxx"])
+
+    def test_nothing_to_write_rejected(self, rng):
+        Z = rng.normal(size=(3, 2))
+        with pytest.raises(LengthMismatch, match="no scatter rows"):
+            scatter_to_csv(Z, np.full(3, self.INTP), types=["esfj"])
+        with pytest.raises(LengthMismatch, match="no scatter rows"):
+            scatter_to_csv(np.empty((0, 2)), np.empty(0, dtype=np.int8))
 
     def test_wrong_width_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
-            scatter_export(rng.normal(size=(4, 4)), ["intp"] * 4)
+            scatter_to_csv(rng.normal(size=(4, 4)), np.full(4, self.INTP))
         with pytest.raises(DimensionMismatch):
-            scatter_export(rng.normal(size=4), ["intp"] * 4)
+            scatter_to_csv(rng.normal(size=4), np.full(4, self.INTP))
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(LengthMismatch):
-            scatter_export(rng.normal(size=(4, 2)), ["intp"] * 3)
+            scatter_to_csv(rng.normal(size=(4, 2)), np.full(3, self.INTP))
         with pytest.raises(LengthMismatch):
-            scatter_export(rng.normal(size=(4, 2)), ["intp"] * 4, [0, 1])
+            scatter_to_csv(rng.normal(size=(4, 2)), np.full(4, self.INTP), [0, 1])
 
     def test_csv_layout_2d(self, rng):
         Z = rng.normal(size=(3, 2))
-        text = scatter_to_csv(scatter_export(Z, ["intp", "enfj", "intp"], [0, 1, 0]))
+        text = scatter_to_csv(Z, [self.INTP, self.ENFJ, self.INTP], [0, 1, 0])
         lines = text.splitlines()
         assert lines[0] == "pc1,pc2,mbti,cluster,is_centroid"
         assert len(lines) == 1 + 3 + 2
@@ -176,13 +199,13 @@ class TestScatterExport:
 
     def test_csv_layout_3d_header(self, rng):
         Z = rng.normal(size=(2, 3))
-        text = scatter_to_csv(scatter_export(Z, ["intp", "intp"]))
+        text = scatter_to_csv(Z, [self.INTP, self.INTP])
         assert text.splitlines()[0] == "pc1,pc2,pc3,mbti,cluster,is_centroid"
 
     def test_pipeline_from_pca(self, small_dataset):
         X = small_dataset.feature_matrix()
         model = pca.fit_pca(X, 2)
         Z = pca.project(model, X)
-        rows = scatter_export(Z, small_dataset.types)
+        rows = _csv_rows(scatter_to_csv(Z, small_dataset.type_codes))
         assert len(rows) == len(small_dataset)
-        assert {r.mbti for r in rows} == {t.value for t in set(small_dataset.types)}
+        assert [r[2] for r in rows] == [t.value for t in small_dataset.types]

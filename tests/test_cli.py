@@ -51,6 +51,21 @@ class TestSynth:
         assert run(["synth", "--freq-file", str(freq)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "count",
+        ['"abc"', "null", "[1]", "1e999", "3.7", "true"],
+        ids=["string", "null", "list", "overflow", "fraction", "bool"],
+    )
+    def test_non_integer_count_is_data_error(self, tmp_path, capsys, count):
+        freq = tmp_path / "freq.json"
+        freq.write_text('{"intp": 3, "enfj": %s}' % count)
+        assert run(["synth", "--freq-file", str(freq)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("typetaste: error: count for enfj must be an integer")
+
     def test_bad_seed_is_usage_error(self, tmp_path, capsys):
         assert run(["synth", "--paper-frequencies", "--seed", "-3"]) == 2
         assert run(["synth", "--paper-frequencies", "--seed", "nope"]) == 2
@@ -322,6 +337,17 @@ class TestScatter:
         lines = out.read_text().splitlines()[1:]
         assert len(lines) == 32  # 18 intp + 14 intj
         assert {line.split(",")[2] for line in lines} == {"intp", "intj"}
+
+    def test_type_filter_keeping_nothing_is_data_error(self, tmp_path, small_csv, capsys):
+        out = tmp_path / "scatter.csv"
+        argv = ["scatter", "--input", str(small_csv), "--types", "esfj", "-o", str(out)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "typetaste: error: no scatter rows to serialize"
+        ]
+        assert not out.exists()
 
     def test_bad_dims_is_usage_error(self, small_csv, capsys):
         assert run(["scatter", "--input", str(small_csv), "--dims", "5"]) == 2

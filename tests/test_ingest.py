@@ -13,12 +13,12 @@ from typetaste.errors import (
 )
 from typetaste.ingest import (
     SURVEY_TYPE_COUNTS,
-    RatingModel,
     SynthConfig,
     TypeFrequencyTable,
     dataset_to_csv,
     generate_synthetic,
     load_dataset,
+    planted_means,
     save_dataset,
     skew_summary,
     survey_frequency_table,
@@ -81,39 +81,30 @@ class TestTypeFrequencyTable:
         assert ranked[-1][1] == 0
 
 
-class TestRatingModel:
+class TestPlantedMeans:
     def test_planted_shape_and_bounds(self):
-        cat = default_catalog()
-        model = RatingModel.planted(cat)
-        assert model.means.shape == (16, 121)
-        assert np.all(model.means >= 1.0)
-        assert np.all(model.means <= 5.0)
+        means = planted_means(default_catalog())
+        assert means.shape == (16, 121)
+        assert np.all(means >= 1.0)
+        assert np.all(means <= 5.0)
 
     def test_planted_is_deterministic(self):
         cat = default_catalog()
-        a = RatingModel.planted(cat)
-        b = RatingModel.planted(cat)
-        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(planted_means(cat), planted_means(cat))
 
     def test_planted_profiles_differ_between_types(self):
-        model = RatingModel.planted(default_catalog())
-        assert not np.array_equal(model.means[0], model.means[1])
+        means = planted_means(default_catalog())
+        assert not np.array_equal(means[0], means[1])
 
     def test_planted_nonfiction_preference(self):
         cat = default_catalog()
-        model = RatingModel.planted(cat)
+        means = planted_means(cat)
         psych = cat.index("Psychology")
         relig = cat.index("Religion & Spirituality")
         for code in ("intp", "intj", "infj", "infp"):
             row = ALL_TYPES.index(MbtiType(code))
-            assert model.means[row, psych] == 5.0
-            assert model.means[row, relig] == 2.0
-
-    def test_bad_ranges_rejected(self):
-        with pytest.raises(Error):
-            RatingModel(np.full((16, 121), 7.0))
-        with pytest.raises(Error):
-            RatingModel(np.full((16, 121), 3.0), dispersion=-0.5)
+            assert means[row, psych] == 5.0
+            assert means[row, relig] == 2.0
 
 
 class TestSynthConfig:
@@ -121,7 +112,6 @@ class TestSynthConfig:
         config = SynthConfig(seed=1)
         assert config.frequencies.total == 1020
         assert len(config.catalog) == 121
-        assert config.rating_model.means.shape == (16, 121)
 
     def test_seed_range_enforced(self):
         SynthConfig(seed=2**64 - 1)
@@ -268,13 +258,8 @@ class TestSkewSummary:
 
     def test_tie_breaks_alphabetically(self):
         table = TypeFrequencyTable({"istp": 4, "enfj": 4, "intp": 9})
-        summary = skew_summary(table, top_n=3)
-        assert [t.value for t, _ in summary.top_types] == ["intp", "enfj", "istp"]
-
-    def test_top_n_clamps(self):
-        table = TypeFrequencyTable({"intp": 1})
-        assert len(skew_summary(table, top_n=99).top_types) == 16
-        assert len(skew_summary(table, top_n=0).top_types) == 0
+        summary = skew_summary(table)
+        assert [t.value for t, _ in summary.top_types] == ["intp", "enfj", "istp", "enfp"]
 
     def test_empty_table_raises(self):
         with pytest.raises(EmptyTable):
