@@ -1,30 +1,34 @@
-"""Cross-tabulate two genres for one type and summarize the inclination.
+"""Cross-tabulate two genres for one type and read its inclination from the
+per-type profiles that also drive the recommender.
 
 The planted generator gives intp respondents a strong pull toward
 Psychology and a push away from Religion & Spirituality, which shows up
-directly in the joint rating table and the per-genre summaries.
+directly in the joint rating table and the per-genre profile means.
 """
 
-from typetaste import analysis, ingest
-from typetaste.domain import PSYCHOLOGY, RELIGION_SPIRITUALITY
+from typetaste import analysis, ingest, recommend
+from typetaste.domain import PSYCHOLOGY, RELIGION_SPIRITUALITY, TYPE_INDEX
 
 dataset = ingest.generate_synthetic(ingest.SynthConfig(seed=2026))
 
 table = analysis.pair_rating_table(dataset, "intp", PSYCHOLOGY, RELIGION_SPIRITUALITY)
 print(f"Joint ratings for intp: {PSYCHOLOGY} (rows) vs {RELIGION_SPIRITUALITY} (cols)")
 print("rows/cols run 0..6; cell = respondent count")
-for rating, row in enumerate(table.counts):
+for rating, row in enumerate(table):
     print(f"  {rating}: " + " ".join(f"{c:3d}" for c in row))
-print(f"  {table.total} intp respondents in total")
+print(f"  {table.sum()} intp respondents in total")
 
-summary = analysis.inclination(table)
+profiles = recommend.build_profiles(dataset)
+intp = TYPE_INDEX["intp"]
 print()
-for genre, lean in ((summary.genre_a, summary.a), (summary.genre_b, summary.b)):
+for genre in (PSYCHOLOGY, RELIGION_SPIRITUALITY):
+    g = dataset.catalog.index(genre)
     print(
-        f"{genre}: mean {lean.mean:.2f} over {lean.raters} raters, "
-        f"{lean.enjoyment_share:.0%} rate it 4+"
+        f"{genre}: mean {profiles.mean[intp, g]:.2f} over {profiles.support[intp, g]} raters, "
+        f"{profiles.enjoyment_share[intp, g]:.0%} rate it 4+"
     )
-print(f"=> intp respondents lean toward {summary.leaning}")
+leaning = analysis.inclination(profiles, "intp", PSYCHOLOGY, RELIGION_SPIRITUALITY)
+print(f"=> intp respondents lean toward {leaning}")
 
 print()
 print("The frequency helper feeds bar plots; restricted to four types:")

@@ -154,8 +154,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_pairtable(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
-    table = analysis.pair_rating_table(dataset, args.type, args.genre_a, args.genre_b)
-    _emit(analysis.pair_table_to_csv(table), args.output)
+    counts = analysis.pair_rating_table(dataset, args.type, args.genre_a, args.genre_b)
+    _emit(analysis.pair_table_to_csv(counts, args.type, args.genre_a, args.genre_b), args.output)
     return 0
 
 
@@ -168,8 +168,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             profiles, user, top_n=args.top, blend_weight=args.blend
         )
     else:
-        if args.type is None:
-            raise Error("recommend needs --type or --user-row")
         rec = recommend.recommend_for_type(profiles, args.type, top_n=args.top)
     if args.format == "json":
         _emit(recommend.recommendation_to_json(rec), args.output)
@@ -274,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="rank genres for a type or respondent")
     p.add_argument("--input", required=True, metavar="CSV")
-    p.add_argument("--type", type=_mbti_arg)
-    p.add_argument("--user-row", metavar="ID", help="respondent id to personalize for")
+    who = p.add_mutually_exclusive_group(required=True)
+    who.add_argument("--type", type=_mbti_arg)
+    who.add_argument("--user-row", metavar="ID", help="respondent id to personalize for")
     p.add_argument("--blend", type=_blend_arg, default=0.5,
                    help="weight of the user's own ratings (0..1)")
     p.add_argument("--top", type=_positive_int, default=recommend.DEFAULT_TOP_N)
@@ -311,10 +310,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except Error as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Error, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

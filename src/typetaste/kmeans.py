@@ -218,7 +218,6 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
     k = centroids.shape[0]
     row_norms = (X * X).sum(axis=1)
     rows = np.arange(X.shape[0])
-    previous_inertia = np.inf
     iterations = 0
     for _ in range(config.max_iters):
         d2 = _sq_distances(X, row_norms, centroids)
@@ -226,9 +225,6 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
         d2min = d2[rows, labels]
         counts = np.bincount(labels, minlength=k)
         _repair_empty(X, centroids, labels, d2min, counts)
-        inertia = float(d2min.sum())
-        assert inertia <= previous_inertia * (1 + 1e-12) + 1e-9
-        previous_inertia = inertia
         updated = _mean_update(X, labels, counts, fallback=centroids)
         movement = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
         centroids = updated

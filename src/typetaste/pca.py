@@ -27,10 +27,6 @@ class PcaModel:
     explained_variance: np.ndarray
 
     @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.components.shape[1]
 

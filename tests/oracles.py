@@ -338,6 +338,20 @@ def pair_table_oracle(records, mbti, ia, ib):
     return counts
 
 
+def leaning_oracle(counts, genre_a, genre_b):
+    """Which genre of a :func:`pair_table_oracle` table's pair has the higher
+    mean rating over raters (rating 0 excluded), read from the marginals;
+    None when the means are equal or either genre has no rater."""
+    means = []
+    for marginal in (counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()):
+        raters = sum(marginal[1:])
+        means.append(sum(r * m for r, m in enumerate(marginal)) / raters if raters else None)
+    a, b = means
+    if a is None or b is None or a == b:
+        return None
+    return genre_a if a > b else genre_b
+
+
 def ranking_oracle(catalog, profile, category=None, ratings=None, blend_weight=0.5):
     """Every candidate genre as ``(genre, category, score, support,
     low_support)``, best first, scored one genre at a time from a

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import pair_table_oracle
+from oracles import leaning_oracle, pair_table_oracle
 from typetaste import pca
 from typetaste.analysis import (
     inclination,
@@ -9,13 +9,23 @@ from typetaste.analysis import (
     pair_table_to_csv,
     scatter_to_csv,
 )
-from typetaste.domain import TYPE_INDEX, Dataset, MbtiType, SurveyRecord, default_catalog
+from typetaste.recommend import build_profiles
+from typetaste.domain import (
+    ALL_TYPES,
+    TYPE_INDEX,
+    Dataset,
+    MbtiType,
+    SurveyRecord,
+    default_catalog,
+)
 from typetaste.errors import (
     DimensionMismatch,
     InvalidMbtiCode,
     LengthMismatch,
     UnknownGenre,
 )
+
+RATINGS = np.arange(1, 7)
 
 
 @pytest.fixture(scope="module")
@@ -51,37 +61,49 @@ class TestPairRatingTable:
         ]:
             table = pair_rating_table(survey_dataset, t, a, b)
             expected = pair_table_oracle(survey_dataset.records, t, cat.index(a), cat.index(b))
-            assert np.array_equal(table.counts, expected)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, expected)
 
     def test_cells_and_total(self, pair_dataset):
         table = pair_rating_table(
             pair_dataset, "intp", "Psychology", "Religion & Spirituality"
         )
-        assert table.total == 4  # only the intp respondents
-        assert table.counts[6, 2] == 1
-        assert table.counts[5, 2] == 1
-        assert table.counts[5, 0] == 1
-        assert table.counts[0, 4] == 1
-        assert table.counts.sum() == 4
+        assert table.sum() == 4  # only the intp respondents
+        assert table[6, 2] == 1
+        assert table[5, 2] == 1
+        assert table[5, 0] == 1
+        assert table[0, 4] == 1
 
     def test_marginals(self, pair_dataset):
+        # Each genre's marginal over ratings 1..6 holds the profile's raters
+        # and mean for it: the table and the taste rule see the same survey.
         table = pair_rating_table(
             pair_dataset, "intp", "Psychology", "Religion & Spirituality"
         )
-        assert table.marginal_a.tolist() == [1, 0, 0, 0, 0, 2, 1]
-        assert table.marginal_b.tolist() == [1, 0, 2, 0, 1, 0, 0]
+        assert table.sum(axis=1).tolist() == [1, 0, 0, 0, 0, 2, 1]
+        assert table.sum(axis=0).tolist() == [1, 0, 2, 0, 1, 0, 0]
+        profiles = build_profiles(pair_dataset)
+        cat, row = pair_dataset.catalog, TYPE_INDEX["intp"]
+        for genre, marginal in [
+            ("Psychology", table.sum(axis=1)),
+            ("Religion & Spirituality", table.sum(axis=0)),
+        ]:
+            raters = marginal[1:].sum()
+            assert profiles.support[row, cat.index(genre)] == raters
+            assert profiles.mean[row, cat.index(genre)] == (RATINGS @ marginal[1:]) / raters
 
     def test_type_case_insensitive(self, pair_dataset):
-        table = pair_rating_table(
-            pair_dataset, "INTP", "Psychology", "Religion & Spirituality"
-        )
-        assert table.mbti is MbtiType.INTP
+        args = ("Psychology", "Religion & Spirituality")
+        table = pair_rating_table(pair_dataset, "INTP", *args)
+        assert np.array_equal(table, pair_rating_table(pair_dataset, "intp", *args))
+        assert pair_table_to_csv(table, "INTP", *args).startswith("# type=intp\n")
 
     def test_absent_type_gives_zero_table(self, pair_dataset):
         table = pair_rating_table(
             pair_dataset, "esfj", "Psychology", "Religion & Spirituality"
         )
-        assert table.total == 0
+        assert table.shape == (7, 7)
+        assert table.sum() == 0
 
     def test_unknown_genre_rejected(self, pair_dataset):
         with pytest.raises(UnknownGenre):
@@ -92,44 +114,66 @@ class TestPairRatingTable:
             pair_rating_table(pair_dataset, "wxyz", "Psychology", "Religion & Spirituality")
 
     def test_csv_layout(self, pair_dataset):
-        table = pair_rating_table(
-            pair_dataset, "intp", "Psychology", "Religion & Spirituality"
-        )
-        lines = pair_table_to_csv(table).splitlines()
+        args = ("intp", "Psychology", "Religion & Spirituality")
+        table = pair_rating_table(pair_dataset, *args)
+        lines = pair_table_to_csv(table, *args).splitlines()
         assert lines[0] == "# type=intp"
         assert lines[1] == "# genre_a=Psychology"
         assert lines[2] == "# genre_b=Religion & Spirituality"
         assert lines[3] == "b=0,b=1,b=2,b=3,b=4,b=5,b=6"
         assert len(lines) == 4 + 7
         parsed = [[int(x) for x in line.split(",")] for line in lines[4:]]
-        assert np.array_equal(np.array(parsed), table.counts)
+        assert np.array_equal(np.array(parsed), table)
 
 
 class TestInclination:
+    def test_matches_pair_table_rule(self, survey_dataset):
+        # The reference survey without its esfj respondents, so one of the
+        # 16 types has no raters at all.
+        dataset = survey_dataset.restrict_types(t for t in ALL_TYPES if t is not MbtiType.ESFJ)
+        profiles = build_profiles(dataset)
+        cat, records = dataset.catalog, dataset.records
+        pick = np.random.default_rng(9).choice(len(cat), size=(6, 2), replace=False)
+        pairs = [
+            ("Psychology", "Religion & Spirituality"),
+            ("Religion & Spirituality", "Psychology"),
+            ("Psychology", "Psychology"),  # equal means
+            *((cat.genres[i], cat.genres[j]) for i, j in pick.tolist()),
+        ]
+        outcomes = set()  # the cases must reach a-side, b-side and undecided
+        for t in ALL_TYPES:
+            for a, b in pairs:
+                counts = pair_table_oracle(records, t, cat.index(a), cat.index(b))
+                expected = leaning_oracle(counts, a, b)
+                assert inclination(profiles, t, a, b) == expected, (t, a, b)
+                outcomes.add(None if expected is None else expected == a)
+            if t is MbtiType.ESFJ:
+                assert all(inclination(profiles, t, a, b) is None for a, b in pairs)
+        assert outcomes == {None, True, False}
+
     def test_means_and_shares_exclude_no_experience(self, pair_dataset):
-        table = pair_rating_table(
-            pair_dataset, "intp", "Psychology", "Religion & Spirituality"
-        )
-        summary = inclination(table)
+        profiles = build_profiles(pair_dataset)
+        cat, row = pair_dataset.catalog, TYPE_INDEX["intp"]
+        psych, relig = cat.index("Psychology"), cat.index("Religion & Spirituality")
         # Psychology: ratings 6, 5, 5 among raters (the 0 drops out).
-        assert summary.a.raters == 3
-        assert summary.a.mean == pytest.approx(16 / 3)
-        assert summary.a.enjoyment_share == pytest.approx(1.0)
+        assert profiles.support[row, psych] == 3
+        assert profiles.mean[row, psych] == pytest.approx(16 / 3)
+        assert profiles.enjoyment_share[row, psych] == pytest.approx(1.0)
         # Religion & Spirituality: ratings 2, 2, 4.
-        assert summary.b.raters == 3
-        assert summary.b.mean == pytest.approx(8 / 3)
-        assert summary.b.enjoyment_share == pytest.approx(1 / 3)
-        assert summary.leaning == "Psychology"
+        assert profiles.support[row, relig] == 3
+        assert profiles.mean[row, relig] == pytest.approx(8 / 3)
+        assert profiles.enjoyment_share[row, relig] == pytest.approx(1 / 3)
+        for a, b in [("Psychology", "Religion & Spirituality"),
+                     ("Religion & Spirituality", "Psychology")]:
+            assert inclination(profiles, "INTP", a, b) == "Psychology"
 
     def test_no_raters_yields_none(self, pair_dataset):
-        table = pair_rating_table(
-            pair_dataset, "esfj", "Psychology", "Religion & Spirituality"
-        )
-        summary = inclination(table)
-        assert summary.a.mean is None
-        assert summary.a.enjoyment_share is None
-        assert summary.a.raters == 0
-        assert summary.leaning is None
+        profiles = build_profiles(pair_dataset)
+        assert inclination(profiles, "esfj", "Psychology", "Religion & Spirituality") is None
+        # Every intp rated both music genres 3: equal means.
+        assert inclination(profiles, "intp", "music_00", "music_01") is None
+        with pytest.raises(UnknownGenre):
+            inclination(profiles, "intp", "Psychology", "Alchemy")
 
 
 def _csv_rows(text):

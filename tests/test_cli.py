@@ -287,9 +287,19 @@ class TestRecommend:
         assert captured.out == ""
         assert captured.err == "typetaste: error: dataset has no respondents\n"
 
-    def test_missing_selector_is_data_error(self, small_csv, capsys):
-        assert run(["recommend", "--input", str(small_csv)]) == 1
-        capsys.readouterr()
+    def test_missing_selector_is_usage_error(self, small_csv, capsys):
+        assert run(["recommend", "--input", str(small_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one of the arguments --type --user-row is required" in captured.err
+
+    def test_both_selectors_is_usage_error(self, small_csv, capsys):
+        assert run([
+            "recommend", "--input", str(small_csv), "--type", "esfj", "--user-row", "intp-000",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     def test_unknown_user_is_data_error(self, small_csv, capsys):
         assert run([

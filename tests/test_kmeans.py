@@ -143,15 +143,25 @@ class TestLloyd:
         assert np.array_equal(result.assignments, d2.argmin(axis=1))
         assert result.inertia == pytest.approx(d2.min(axis=1).sum())
 
-    def test_inertia_monotone_in_iteration_budget(self):
+    def test_inertia_monotone_in_iteration_budget(self, survey_dataset):
         # Lloyd from the same start, stopped after m rounds, can only improve.
         trial_rng = np.random.default_rng(98)
+        cases = []
         for _ in range(100):
             n = int(trial_rng.integers(5, 40))
             d = int(trial_rng.integers(1, 5))
             k = int(trial_rng.integers(1, min(n, 8) + 1))
             X = trial_rng.normal(size=(n, d)) * trial_rng.uniform(0.5, 5.0)
-            start = init_random(X, k, seed=int(trial_rng.integers(2**32)))
+            cases.append((X, init_random(X, k, seed=int(trial_rng.integers(2**32)))))
+        # Integer ratings from a start whose last two centroids lie beyond the
+        # 0..6 scale, so no row picks them and the first round repairs both.
+        X = survey_dataset.feature_matrix("movies")[:300]
+        start = np.vstack([X[:6], np.full((2, X.shape[1]), 100.0)])
+        first = ((X[:, None, :] - start) ** 2).sum(axis=2).argmin(axis=1)
+        assert np.bincount(first, minlength=8)[6:].tolist() == [0, 0]
+        cases.append((X, start))
+        for X, start in cases:
+            k = start.shape[0]
             inertias = [
                 lloyd(X, start, KmeansConfig(k=k, max_iters=m, tol=0.0)).inertia
                 for m in range(1, 7)
