@@ -164,9 +164,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     profiles = recommend.build_profiles(dataset)
     if args.user_row is not None:
         user = dataset.record(args.user_row)
-        rec = recommend.recommend_for_user(
-            profiles, user, top_n=args.top, blend_weight=args.blend
-        )
+        blend = recommend.DEFAULT_BLEND if args.blend is None else args.blend
+        rec = recommend.recommend_for_user(profiles, user, top_n=args.top, blend_weight=blend)
     else:
         rec = recommend.recommend_for_type(profiles, args.type, top_n=args.top)
     if args.format == "json":
@@ -275,11 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     who = p.add_mutually_exclusive_group(required=True)
     who.add_argument("--type", type=_mbti_arg)
     who.add_argument("--user-row", metavar="ID", help="respondent id to personalize for")
-    p.add_argument("--blend", type=_blend_arg, default=0.5,
-                   help="weight of the user's own ratings (0..1)")
+    p.add_argument("--blend", type=_blend_arg,
+                   help=f"weight of the user's own ratings (0..1, default "
+                        f"{recommend.DEFAULT_BLEND}); --user-row only")
     p.add_argument("--top", type=_positive_int, default=recommend.DEFAULT_TOP_N)
     add_common_io(p, formats=("text", "json"))
-    p.set_defaults(func=cmd_recommend)
+    p.set_defaults(func=cmd_recommend, usage_error=p.error)
 
     p = sub.add_parser("scatter", help="export PCA-projected points for plotting")
     p.add_argument("--input", required=True, metavar="CSV")
@@ -306,6 +306,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.func is cmd_recommend and args.blend is not None and args.user_row is None:
+            args.usage_error("argument --blend: only allowed with argument --user-row")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -8,7 +8,13 @@ logarithms.  Homogeneity, completeness, and V-measure follow the
 conditional-entropy definitions, the adjusted Rand index uses exact integer
 pair counting, and adjusted mutual information subtracts the expected MI of
 random labelings with the same marginals (hypergeometric model) and
-normalizes by ``max(H(classes), H(clusters))``.
+normalizes by ``max(H(classes), H(clusters))``; its log-factorials come
+from scipy, which is imported on the first AMI call and nowhere else.
+
+The silhouette (Rousseeuw 1987) never holds the n x n distance matrix: it
+builds each point's per-cluster distance sums a block of rows at a time,
+through one of two exact paths, integer (raw ratings) or general (any
+other input), and matches the full-matrix sums bit for bit.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import gammaln
 
 from . import kmeans as km
 from .domain import Dataset
@@ -125,6 +129,9 @@ def expected_mutual_information(table: np.ndarray) -> float:
     each cell count given fixed row and column sums, with factorials kept in
     log space for stability.
     """
+    # Imported here so that loading the package does not load scipy.
+    from scipy.special import gammaln
+
     n = int(table.sum())
     col_sums = table.sum(axis=0).tolist()
     log_fact = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
@@ -179,6 +186,70 @@ def adjusted_mutual_information(table: np.ndarray) -> float:
     return (mi - emi) / denominator
 
 
+# The fewest distance-matrix entries a row block holds (4 MB of float64;
+# a block holds fewer than twice as many).  With k >= 2 clusters each
+# block's product with the membership matrix then has over 10**6
+# multiply-adds: OpenBLAS sends smaller products to a kernel that sums in
+# another order, so their bits would differ from one product over all rows.
+_BLOCK_ENTRIES = 2**19
+
+# Rows of a block whose squared coordinate differences the general path
+# takes at a time, so that its scratch array stays small beside the block.
+_DIFF_ROWS = 32
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Near-equal (start, stop) row ranges of at least
+    ``_BLOCK_ENTRIES / n`` rows each (fewer only when n is smaller)."""
+    rows = -(-_BLOCK_ENTRIES // n)
+    count = max(1, n // rows)
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
+
+
+def _distance_sums(X: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (n, k) sums of Euclidean distances from each row of ``X`` to the
+    rows of each cluster that the (n, k) boolean ``members`` marks.
+
+    Each distance has the bits of ``sqrt(sum_j (x_j - y_j) ** 2)`` summed
+    in coordinate order.  When ``X`` is integral and ``4 * d * max|x| ** 2``
+    is below 2**53, a block's squared distances are
+    ``|x|^2 + |y|^2 - 2 x.y``, whose partial sums are all exact integers
+    whatever order the product sums in.  Otherwise the squared differences
+    are added one coordinate at a time.
+    """
+    n, d = X.shape
+    weights = members.astype(np.float64)
+    sums = np.empty((n, weights.shape[1]))
+    blocks = _row_blocks(n)
+    block = np.empty((max(stop - start for start, stop in blocks), n))
+    scale = np.abs(X).max(initial=0.0)
+    integral = np.array_equal(X, np.rint(X)) and 4.0 * d * scale * scale < 2.0**53
+    if integral:
+        sq_norms = (X * X).sum(axis=1)
+    else:
+        columns = np.ascontiguousarray(X.T)
+        diff = np.empty((_DIFF_ROWS, n))
+    for start, stop in blocks:
+        sq = block[: stop - start]
+        if integral:
+            np.matmul(X[start:stop], X.T, out=sq)
+            sq *= -2.0
+            sq += sq_norms[start:stop, None]
+            sq += sq_norms[None, :]
+        else:
+            sq.fill(0.0)
+            for lo in range(start, stop, _DIFF_ROWS):
+                hi = min(lo + _DIFF_ROWS, stop)
+                part, step = sq[lo - start : hi - start], diff[: hi - lo]
+                for j in range(d):
+                    np.subtract(X[lo:hi, j, None], columns[j], out=step)
+                    np.multiply(step, step, out=step)
+                    part += step
+        np.sqrt(sq, out=sq)
+        np.matmul(sq, weights, out=sums[start:stop])
+    return sums
+
+
 def silhouette_samples(data: np.ndarray, assignments: Sequence[int]) -> np.ndarray:
     """Per-point silhouette values in the given feature space.
 
@@ -186,6 +257,14 @@ def silhouette_samples(data: np.ndarray, assignments: Sequence[int]) -> np.ndarr
     own cluster and ``b`` the smallest mean distance to another cluster;
     the value is ``(b - a) / max(a, b)``.  Singleton clusters score 0, as do
     points where both means vanish.
+
+    The per-cluster distance sums are built a block of rows at a time, so
+    the distances take O(_BLOCK_ENTRIES + n) memory, not n * n.  One of two
+    exact paths builds each block: integer ratings (any raw category) take
+    ``|x|^2 + |y|^2 - 2 x.y``, whose squared distances are exact integers;
+    any other input, such as PCA scores, sums squared coordinate
+    differences in coordinate order.  Both give each distance the bits of
+    scipy's ``cdist``, and the sums those of ``cdist(X, X) @ members``.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
@@ -198,10 +277,9 @@ def silhouette_samples(data: np.ndarray, assignments: Sequence[int]) -> np.ndarr
     unique = np.unique(labels)
     if unique.size < 2:
         raise SingleClusterOnly("silhouette needs at least 2 distinct clusters")
-    distances = cdist(X, X)
     members = labels[:, None] == unique[None, :]
     sizes = members.sum(axis=0)
-    cluster_sums = distances @ members
+    cluster_sums = _distance_sums(X, members)
     own = members.argmax(axis=1)
     n = X.shape[0]
     own_size = sizes[own]

@@ -32,6 +32,7 @@ DISLIKE_MAX = 2
 # Genres with fewer raters than this are flagged ``low_support``, not dropped.
 MIN_SUPPORT = 5
 DEFAULT_TOP_N = 10
+DEFAULT_BLEND = 0.5
 
 STRATEGY_TYPE_PROFILE = "type-profile"
 STRATEGY_BLENDED = "blended"
@@ -146,7 +147,7 @@ def recommend_for_user(
     profiles: ProfileSet,
     user: SurveyRecord,
     top_n: int = DEFAULT_TOP_N,
-    blend_weight: float = 0.5,
+    blend_weight: float = DEFAULT_BLEND,
 ) -> Recommendation:
     """Personalize the type ranking with one respondent's own ratings.
 

@@ -4,10 +4,13 @@ Each oracle takes a different computational route than the library code it
 checks: entropy-based scores are recomputed from conditional entropies over
 probability tables, the pair-counting index from explicit pair enumeration,
 expected MI from exhaustive permutation averaging, eigendecomposition from
-cyclic Jacobi rotations, and silhouettes from a direct O(n^2) loop.  The
-Lloyd reference is the exception: it must match the library bit for bit, so
-it uses the same distance expression but the plainest route for everything
-else (full recomputation each round, one-row-at-a-time ``np.add.at`` sums).
+cyclic Jacobi rotations, and silhouettes from a direct O(n^2) loop.  Two
+references must match the library bit for bit.  The per-cluster distance
+sums behind the silhouette come from scipy's full n x n ``cdist`` matrix,
+the route the package took before it built them in row blocks.  The Lloyd
+reference uses the same distance expression as the library but the
+plainest route for everything else (full recomputation each round,
+one-row-at-a-time ``np.add.at`` sums).
 The survey oracles read, tally and average one record at a time, as the
 package did before it held the survey as columns.
 """
@@ -20,6 +23,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, default_catalog, parse_mbti
 from typetaste.errors import DuplicateRespondent, InvalidRating, SchemaMismatch
@@ -149,6 +153,13 @@ def silhouette_oracle(data, labels) -> float:
         worst = max(a, b)
         scores.append(0.0 if worst == 0.0 else (b - a) / worst)
     return sum(scores) / n
+
+
+def distance_sums_oracle(data, members) -> np.ndarray:
+    """The (n, k) sums of distances from each point to each cluster's
+    members, read off the full n x n ``cdist`` matrix."""
+    X = np.asarray(data, dtype=np.float64)
+    return cdist(X, X) @ members
 
 
 def best_partition_sse_oracle(data, k) -> float:

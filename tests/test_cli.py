@@ -309,9 +309,29 @@ class TestRecommend:
 
     def test_bad_blend_is_usage_error(self, small_csv, capsys):
         assert run([
-            "recommend", "--input", str(small_csv), "--type", "intp", "--blend", "1.5",
+            "recommend", "--input", str(small_csv), "--user-row", "intp-000", "--blend", "1.5",
         ]) == 2
-        capsys.readouterr()
+        assert "blend must be within 0..1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["type-first", "blend-first"])
+    def test_blend_with_type_is_usage_error(self, small_csv, capsys, order):
+        selector, blend = ["--type", "intp"], ["--blend", "0.2"]
+        args = selector + blend if order == "type-first" else blend + selector
+        assert run(["recommend", "--input", str(small_csv), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: typetaste recommend")
+        assert captured.err.endswith(
+            "typetaste recommend: error: argument --blend: only allowed with argument"
+            " --user-row\n"
+        )
+
+    def test_user_row_default_blend_is_half(self, small_csv, capsys):
+        base = ["recommend", "--input", str(small_csv), "--user-row", "intp-000"]
+        assert run(base) == 0
+        default = capsys.readouterr().out
+        assert run([*base, "--blend", "0.5"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestScatter:

@@ -1,4 +1,5 @@
-"""Every module-level import in the package, the tests and the demos is used.
+"""Every module-level import in the package, the tests and the demos is used,
+and starting the CLI loads no scipy.
 
 A name an import binds counts as used when it appears as a name anywhere in
 the same file, or when the file lists it in ``__all__``.  ``__future__``
@@ -6,6 +7,9 @@ imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +54,23 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_cli_start_loads_no_scipy():
+    """scipy is most of a fresh start's import time; only AMI needs it, and it
+    is imported the first time AMI runs."""
+    script = (
+        "import sys, typetaste.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "from typetaste.metrics import adjusted_mutual_information, contingency\n"
+        "print(round(adjusted_mutual_information(contingency([0, 0, 1, 1], [1, 1, 0, 0])), 9))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "1.0"]

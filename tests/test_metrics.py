@@ -1,9 +1,11 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from typetaste import kmeans, metrics, pca
+from typetaste import ingest, kmeans, metrics, pca
 from typetaste.domain import ALL_TYPES
 from typetaste.errors import (
     EmptyInput,
@@ -30,6 +32,7 @@ from typetaste.metrics import (
 from oracles import (
     adjusted_rand_oracle,
     contingency_oracle,
+    distance_sums_oracle,
     entropy_oracle,
     expected_mi_permutation_oracle,
     hcv_oracle,
@@ -255,6 +258,108 @@ class TestKnownScores:
         assert adjusted_mutual_information(contingency(self.A, self.B)) == pytest.approx(
             0.27502, abs=1e-5
         )
+
+
+# The smallest n whose distance matrix is built in two row blocks.
+SPLIT = math.isqrt(2 * metrics._BLOCK_ENTRIES)
+
+
+def _members(labels):
+    labels = np.asarray(labels)
+    return labels[:, None] == np.unique(labels)[None, :]
+
+
+def _assert_sums_exact(X, labels):
+    members = _members(labels)
+    np.testing.assert_array_equal(
+        metrics._distance_sums(X, members), distance_sums_oracle(X, members), strict=True
+    )
+
+
+@pytest.fixture(scope="module")
+def movies_ratings() -> np.ndarray:
+    """Integer movies ratings of a survey three times the reference size."""
+    counts = {t: 3 * c for t, c in ingest.survey_frequency_table().items()}
+    config = ingest.SynthConfig(seed=31, frequencies=ingest.TypeFrequencyTable(counts))
+    return ingest.generate_synthetic(config).feature_matrix("movies").astype(np.float64)
+
+
+class TestDistanceSums:
+    """The row-blocked per-cluster distance sums equal the full ``cdist``
+    matrix's, bit for bit, on both the integer and the general path."""
+
+    @staticmethod
+    def _data(kind, ratings, n, rng):
+        rows = ratings[rng.choice(ratings.shape[0], size=n, replace=False)]
+        if kind == "ratings":
+            return rows
+        if kind == "pca-scores":
+            return pca.project(pca.fit_pca(ratings, 2), rows)
+        return rng.normal(size=(n, 5)) * 3.0
+
+    def test_split_point(self):
+        assert metrics._row_blocks(SPLIT - 1) == [(0, SPLIT - 1)]
+        assert len(metrics._row_blocks(SPLIT)) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT + 3, 3001])
+    def test_row_blocks_cover_rows_in_order(self, n):
+        blocks = metrics._row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+        rows = [stop - start for start, stop in blocks]
+        assert max(rows) - min(rows) <= 1
+        assert min(rows) * n >= min(metrics._BLOCK_ENTRIES, n * n)
+
+    @pytest.mark.parametrize("kind", ["ratings", "pca-scores", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT + 3])
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_matches_cdist_oracle(self, kind, n, k, movies_ratings, rng):
+        X = self._data(kind, movies_ratings, n, rng)
+        _assert_sums_exact(X, rng.integers(0, k, size=n))
+
+    @pytest.mark.parametrize("kind", ["ratings", "pca-scores", "gaussian"])
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_duplicates_and_singletons(self, kind, k, movies_ratings, rng):
+        X = self._data(kind, movies_ratings, SPLIT + 40, rng)
+        X = np.concatenate([X, X[:30], X[:5]])
+        labels = rng.integers(0, k, size=X.shape[0])
+        labels[[3, SPLIT, X.shape[0] - 1]] = [k, k + 1, k + 2]
+        _assert_sums_exact(X, labels)
+        assert np.count_nonzero(metrics._distance_sums(X, _members(labels)) == 0.0) >= 3
+
+    def test_integral_input_at_the_exactness_bound(self, rng):
+        d = 5
+        top = math.isqrt((2**53 - 1) // (4 * d))
+        X = rng.choice([top, top - 1, -top, 1 - top], size=(SPLIT + 9, d)).astype(np.float64)
+        _assert_sums_exact(X, rng.integers(0, 4, size=X.shape[0]))
+
+    def test_integral_input_past_the_bound_takes_general_path(self, rng):
+        # |x|^2 + |y|^2 - 2 x.y rounds near 2**26: it gives wrong (even NaN)
+        # distances between these close points.
+        X = (2**26 - rng.integers(0, 8, size=(SPLIT + 9, 5))).astype(np.float64)
+        _assert_sums_exact(X, rng.integers(0, 4, size=X.shape[0]))
+
+    def test_non_finite_input_takes_general_path(self):
+        X = np.array([[0.0, 1.0], [np.inf, 2.0], [np.nan, 0.0], [3.0, 4.0]])
+        with np.errstate(invalid="ignore"):
+            _assert_sums_exact(X, [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_memory_grows_with_block_not_n_squared(self, integral):
+        rng = np.random.default_rng(5)
+        n, d = 3000, 21
+        X = rng.integers(0, 7, size=(n, d)).astype(np.float64)
+        if not integral:
+            X += 0.5
+        labels = rng.integers(0, 16, size=n)
+        tracemalloc.start()
+        try:
+            silhouette_samples(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The n x n float64 distance matrix alone would be 72 MB.
+        assert peak < 16 * 2**20
 
 
 class TestSilhouette:
