@@ -13,8 +13,12 @@ from scipy, which is imported on the first AMI call and nowhere else.
 
 The silhouette (Rousseeuw 1987) never holds the n x n distance matrix: it
 builds each point's per-cluster distance sums a block of rows at a time,
-through one of two exact paths, integer (raw ratings) or general (any
-other input), and matches the full-matrix sums bit for bit.
+through one of two exact paths, integer (raw ratings, one product of
+augmented rows per block) or general (any other input), and matches the
+full-matrix sums bit for bit.  It scores an (m, n) stack of labelings of
+the same rows in one distance pass, and :func:`evaluate` stacks the fits
+that clustered equal spaces, so each clustered space's distances are built
+once: a category's ``kmeans++`` and ``random`` fits share theirs.
 """
 
 from __future__ import annotations
@@ -206,52 +210,73 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
-def _distance_sums(X: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The (n, k) sums of Euclidean distances from each row of ``X`` to the
-    rows of each cluster that the (n, k) boolean ``members`` marks.
+def _distance_sums(X: np.ndarray, memberships: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """For each (n, k) boolean matrix in ``memberships``, the (n, k) sums of
+    Euclidean distances from each row of ``X`` to the rows of each cluster
+    it marks.
+
+    Several labelings of the same rows share every distance block: each
+    block is built once and multiplied by each labeling's memberships in
+    turn.  Each product keeps the shape of that labeling's own product, so
+    its sums have the bits they have when it is scored alone.  One product
+    with the memberships side by side would not: OpenBLAS sums a 2 + 2
+    column product over 500 to 700 rows in another order than a 2-column
+    one.
 
     Each distance has the bits of ``sqrt(sum_j (x_j - y_j) ** 2)`` summed
     in coordinate order.  When ``X`` is integral and ``4 * d * max|x| ** 2``
-    is below 2**53, a block's squared distances are
-    ``|x|^2 + |y|^2 - 2 x.y``, whose partial sums are all exact integers
-    whatever order the product sums in.  Otherwise the squared differences
-    are added one coordinate at a time.
+    is below 2**53, a block's squared distances are one product of the
+    augmented rows ``[x, |x|^2, 1]`` and ``[-2y, 1, |y|^2]``, that is
+    ``|x|^2 + |y|^2 - 2 x.y``: every partial sum is an integer of magnitude
+    at most ``4 * d * max|x| ** 2``, so it is exact whatever order the
+    product sums in.  Otherwise the first coordinate's squared difference
+    is written into the block and the others are added one at a time.
     """
     n, d = X.shape
-    weights = members.astype(np.float64)
-    sums = np.empty((n, weights.shape[1]))
+    weights = [members.astype(np.float64) for members in memberships]
+    sums = [np.empty((n, w.shape[1])) for w in weights]
     blocks = _row_blocks(n)
     block = np.empty((max(stop - start for start, stop in blocks), n))
     scale = np.abs(X).max(initial=0.0)
     integral = np.array_equal(X, np.rint(X)) and 4.0 * d * scale * scale < 2.0**53
     if integral:
-        sq_norms = (X * X).sum(axis=1)
+        right = np.empty((d + 2, n))
+        np.multiply(X.T, -2.0, out=right[:d])
+        right[d] = 1.0
+        right[d + 1] = np.einsum("ij,ij->i", X, X)
+        # Each block's rows of [x, |x|^2, 1] are copied in as it is built.
+        left = np.empty((len(block), d + 2))
+        left[:, d + 1] = 1.0
     else:
         columns = np.ascontiguousarray(X.T)
         diff = np.empty((_DIFF_ROWS, n))
     for start, stop in blocks:
         sq = block[: stop - start]
         if integral:
-            np.matmul(X[start:stop], X.T, out=sq)
-            sq *= -2.0
-            sq += sq_norms[start:stop, None]
-            sq += sq_norms[None, :]
+            rows = left[: stop - start]
+            rows[:, :d] = X[start:stop]
+            rows[:, d] = right[d + 1, start:stop]
+            np.matmul(rows, right, out=sq)
         else:
-            sq.fill(0.0)
             for lo in range(start, stop, _DIFF_ROWS):
                 hi = min(lo + _DIFF_ROWS, stop)
                 part, step = sq[lo - start : hi - start], diff[: hi - lo]
-                for j in range(d):
+                np.subtract(X[lo:hi, 0, None], columns[0], out=part)
+                np.multiply(part, part, out=part)
+                for j in range(1, d):
                     np.subtract(X[lo:hi, j, None], columns[j], out=step)
                     np.multiply(step, step, out=step)
                     part += step
         np.sqrt(sq, out=sq)
-        np.matmul(sq, weights, out=sums[start:stop])
+        for w, out in zip(weights, sums):
+            np.matmul(sq, w, out=out[start:stop])
     return sums
 
 
-def silhouette_samples(data: np.ndarray, assignments: Sequence[int]) -> np.ndarray:
-    """Per-point silhouette values in the given feature space.
+def silhouette_samples(data: np.ndarray, assignments: Sequence) -> np.ndarray:
+    """Per-point silhouette values in the given feature space: an (n,) array
+    for one labeling, or an (m, n) array for an (m, n) stack of labelings,
+    one row each.
 
     For each point, ``a`` is its mean Euclidean distance to the rest of its
     own cluster and ``b`` the smallest mean distance to another cluster;
@@ -259,44 +284,55 @@ def silhouette_samples(data: np.ndarray, assignments: Sequence[int]) -> np.ndarr
     points where both means vanish.
 
     The per-cluster distance sums are built a block of rows at a time, so
-    the distances take O(_BLOCK_ENTRIES + n) memory, not n * n.  One of two
-    exact paths builds each block: integer ratings (any raw category) take
-    ``|x|^2 + |y|^2 - 2 x.y``, whose squared distances are exact integers;
-    any other input, such as PCA scores, sums squared coordinate
-    differences in coordinate order.  Both give each distance the bits of
-    scipy's ``cdist``, and the sums those of ``cdist(X, X) @ members``.
+    the distances take O(_BLOCK_ENTRIES + n) memory, not n * n.  A stack's
+    labelings share each block, so the distances are built once for all of
+    them, and each row equals (==) what that labeling gets alone.  One of
+    two exact paths builds each block: integer ratings (any raw category)
+    take one product of augmented rows, ``|x|^2 + |y|^2 - 2 x.y``, whose
+    squared distances are exact integers; any other input, such as PCA
+    scores, sums squared coordinate differences in coordinate order.  Both
+    give each distance the bits of scipy's ``cdist``, and the sums those of
+    ``cdist(X, X) @ members``.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"data must be 2-D, got shape {X.shape}")
-    labels = np.asarray(assignments)
-    if labels.shape != (X.shape[0],):
-        raise LengthMismatch(
-            f"{labels.shape[0] if labels.ndim else 0} assignments for {X.shape[0]} points"
-        )
-    unique = np.unique(labels)
-    if unique.size < 2:
-        raise SingleClusterOnly("silhouette needs at least 2 distinct clusters")
-    members = labels[:, None] == unique[None, :]
-    sizes = members.sum(axis=0)
-    cluster_sums = _distance_sums(X, members)
-    own = members.argmax(axis=1)
     n = X.shape[0]
-    own_size = sizes[own]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = cluster_sums[np.arange(n), own] / (own_size - 1)
-        mean_to = cluster_sums / sizes[None, :]
-        mean_to[np.arange(n), own] = np.inf
-        b = mean_to.min(axis=1)
-        s = (b - a) / np.maximum(a, b)
-    s[own_size == 1] = 0.0
-    s[np.maximum(a, b) == 0.0] = 0.0
-    return np.nan_to_num(s, nan=0.0, posinf=0.0, neginf=0.0)
+    labels = np.asarray(assignments)
+    if labels.ndim not in (1, 2) or labels.shape[-1] != n:
+        count = labels.shape[-1] if labels.ndim else 0
+        raise LengthMismatch(f"{count} assignments for {n} points")
+    stack = np.atleast_2d(labels)
+    if stack.shape[0] == 0:
+        raise EmptyInput("silhouette needs at least one labeling")
+    memberships = []
+    for row in stack:
+        unique = np.unique(row)
+        if unique.size < 2:
+            raise SingleClusterOnly("silhouette needs at least 2 distinct clusters")
+        memberships.append(row[:, None] == unique[None, :])
+    values = np.empty(stack.shape)
+    for out, members, cluster_sums in zip(values, memberships, _distance_sums(X, memberships)):
+        sizes = members.sum(axis=0)
+        own = members.argmax(axis=1)
+        own_size = sizes[own]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = cluster_sums[np.arange(n), own] / (own_size - 1)
+            mean_to = cluster_sums / sizes[None, :]
+            mean_to[np.arange(n), own] = np.inf
+            b = mean_to.min(axis=1)
+            s = (b - a) / np.maximum(a, b)
+        s[own_size == 1] = 0.0
+        s[np.maximum(a, b) == 0.0] = 0.0
+        out[:] = np.nan_to_num(s, nan=0.0, posinf=0.0, neginf=0.0)
+    return values if labels.ndim == 2 else values[0]
 
 
-def silhouette(data: np.ndarray, assignments: Sequence[int]) -> float:
-    """Mean per-point silhouette value."""
-    return float(silhouette_samples(data, assignments).mean())
+def silhouette(data: np.ndarray, assignments: Sequence) -> float | np.ndarray:
+    """Mean per-point silhouette value, or an (m,) array of one mean per
+    labeling for an (m, n) stack of labelings."""
+    values = silhouette_samples(data, assignments)
+    return float(values.mean()) if values.ndim == 1 else values.mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -313,24 +349,43 @@ class EvaluationReport:
     silhouette: float
 
 
-def evaluate(labels_true: Sequence, result: km.ClusteringResult) -> EvaluationReport:
-    """Score one clustering result against true class labels.
+def evaluate(
+    labels_true: Sequence, results: Sequence[km.ClusteringResult]
+) -> list[EvaluationReport]:
+    """Score clustering results of the same rows against true class labels,
+    one report per result, in order.
 
     The silhouette is geometric, so it is taken in ``result.space``, the
-    space the fit clustered (the reduced space for PCA-based fits).
+    space the fit clustered (the reduced space for PCA-based fits).  Results
+    whose spaces are equal share one ``silhouette`` call over their stacked
+    assignments, so that space's distances are built once: a category's
+    ``kmeans++`` and ``random`` fits both cluster its raw ratings, and PCA
+    is deterministic.  Each score equals the one its result gets alone.
     """
-    table = contingency(labels_true, result.assignments)
-    homogeneity, completeness, v_measure = homogeneity_completeness_v(table)
-    return EvaluationReport(
-        method=result.method,
-        elapsed=result.elapsed,
-        homogeneity=homogeneity,
-        completeness=completeness,
-        v_measure=v_measure,
-        ari=adjusted_rand(table),
-        ami=adjusted_mutual_information(table),
-        silhouette=silhouette(result.space, result.assignments),
-    )
+    scores = np.empty(len(results))
+    unscored = list(range(len(results)))
+    while unscored:
+        space = results[unscored[0]].space
+        group = [i for i in unscored if np.array_equal(results[i].space, space, equal_nan=True)]
+        unscored = [i for i in unscored if i not in group]
+        scores[group] = silhouette(space, np.stack([results[i].assignments for i in group]))
+    reports = []
+    for result, score in zip(results, scores.tolist()):
+        table = contingency(labels_true, result.assignments)
+        homogeneity, completeness, v_measure = homogeneity_completeness_v(table)
+        reports.append(
+            EvaluationReport(
+                method=result.method,
+                elapsed=result.elapsed,
+                homogeneity=homogeneity,
+                completeness=completeness,
+                v_measure=v_measure,
+                ari=adjusted_rand(table),
+                ami=adjusted_mutual_information(table),
+                silhouette=score,
+            )
+        )
+    return reports
 
 
 ALL_METHODS: tuple[str, ...] = (km.INIT_KMEANSPP, km.INIT_RANDOM, km.METHOD_PCA)
@@ -389,11 +444,12 @@ def run_method_comparison(
     cell = 0
     for category in categories:
         X = dataset.feature_matrix(category)
+        results = []
         for method in methods:
             config = _method_config(method, k, int(cell_seeds[cell]), restarts)
             cell += 1
-            result = km.fit(X, config)
-            rows.append((category, evaluate(dataset.type_codes, result)))
+            results.append(km.fit(X, config))
+        rows.extend((category, report) for report in evaluate(dataset.type_codes, results))
     return rows
 
 

@@ -179,6 +179,16 @@ class TestEvaluate:
         assert sum(1 for l in lines if l.startswith("#")) == 2
         assert sum(1 for l in lines if not l.startswith("#")) == 1 + 6
 
+    def test_one_cluster_is_data_error(self, small_csv, capsys):
+        code = run([
+            "evaluate", "--input", str(small_csv), "--k", "1",
+            "--category", "movies", "--restarts", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "typetaste: error: silhouette needs at least 2 distinct clusters\n"
+        )
+
     def test_method_selection_and_alias(self, tmp_path, small_csv):
         out = tmp_path / "report.csv"
         code = run([

@@ -1,6 +1,11 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,11 +274,14 @@ def _members(labels):
     return labels[:, None] == np.unique(labels)[None, :]
 
 
-def _assert_sums_exact(X, labels):
-    members = _members(labels)
-    np.testing.assert_array_equal(
-        metrics._distance_sums(X, members), distance_sums_oracle(X, members), strict=True
-    )
+def _assert_sums_exact(X, *labelings):
+    """One ``_distance_sums`` call shares its blocks across the labelings;
+    each labeling's sums must equal the oracle's for that labeling alone."""
+    memberships = [_members(labels) for labels in labelings]
+    shared = metrics._distance_sums(X, memberships)
+    assert len(shared) == len(memberships)
+    for sums, members in zip(shared, memberships):
+        np.testing.assert_array_equal(sums, distance_sums_oracle(X, members), strict=True)
 
 
 @pytest.fixture(scope="module")
@@ -318,26 +326,42 @@ class TestDistanceSums:
         _assert_sums_exact(X, rng.integers(0, k, size=n))
 
     @pytest.mark.parametrize("kind", ["ratings", "pca-scores", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT + 3])
+    @pytest.mark.parametrize("k", [2, 16])
+    def test_shared_blocks_match_cdist_oracle(self, kind, n, k, movies_ratings, rng):
+        # k + k columns: k = 2 gives the smallest block products.
+        X = self._data(kind, movies_ratings, n, rng)
+        _assert_sums_exact(X, rng.integers(0, k, size=n), rng.integers(0, k, size=n))
+
+    @pytest.mark.parametrize("kind", ["ratings", "pca-scores", "gaussian"])
+    @pytest.mark.parametrize(("n", "ks"), [(600, (2, 2)), (500, (3, 3)), (600, (2, 16))])
+    def test_shared_blocks_keep_each_labelings_product(self, kind, n, ks, movies_ratings, rng):
+        # One product over the memberships side by side gives other bits
+        # here: OpenBLAS sums it in another order than each one alone.
+        X = self._data(kind, movies_ratings, n, rng)
+        _assert_sums_exact(X, *(rng.integers(0, k, size=n) for k in ks))
+
+    @pytest.mark.parametrize("kind", ["ratings", "pca-scores", "gaussian"])
     @pytest.mark.parametrize("k", [2, 16])
     def test_duplicates_and_singletons(self, kind, k, movies_ratings, rng):
         X = self._data(kind, movies_ratings, SPLIT + 40, rng)
         X = np.concatenate([X, X[:30], X[:5]])
         labels = rng.integers(0, k, size=X.shape[0])
         labels[[3, SPLIT, X.shape[0] - 1]] = [k, k + 1, k + 2]
-        _assert_sums_exact(X, labels)
-        assert np.count_nonzero(metrics._distance_sums(X, _members(labels)) == 0.0) >= 3
+        _assert_sums_exact(X, labels, labels[::-1])
+        assert np.count_nonzero(metrics._distance_sums(X, [_members(labels)])[0] == 0.0) >= 3
 
     def test_integral_input_at_the_exactness_bound(self, rng):
         d = 5
         top = math.isqrt((2**53 - 1) // (4 * d))
         X = rng.choice([top, top - 1, -top, 1 - top], size=(SPLIT + 9, d)).astype(np.float64)
-        _assert_sums_exact(X, rng.integers(0, 4, size=X.shape[0]))
+        _assert_sums_exact(X, *rng.integers(0, 4, size=(2, X.shape[0])))
 
     def test_integral_input_past_the_bound_takes_general_path(self, rng):
         # |x|^2 + |y|^2 - 2 x.y rounds near 2**26: it gives wrong (even NaN)
         # distances between these close points.
         X = (2**26 - rng.integers(0, 8, size=(SPLIT + 9, 5))).astype(np.float64)
-        _assert_sums_exact(X, rng.integers(0, 4, size=X.shape[0]))
+        _assert_sums_exact(X, *rng.integers(0, 4, size=(2, X.shape[0])))
 
     def test_non_finite_input_takes_general_path(self):
         X = np.array([[0.0, 1.0], [np.inf, 2.0], [np.nan, 0.0], [3.0, 4.0]])
@@ -360,6 +384,39 @@ class TestDistanceSums:
             tracemalloc.stop()
         # The n x n float64 distance matrix alone would be 72 MB.
         assert peak < 16 * 2**20
+
+    def test_shared_blocks_exact_on_two_blas_threads(self):
+        # OpenBLAS reads its thread count when it loads, so a child
+        # interpreter runs the k + k cases of the split sizes.
+        script = (
+            "import numpy as np\n"
+            "from typetaste import metrics\n"
+            "from oracles import distance_sums_oracle\n"
+            "rng = np.random.default_rng(7)\n"
+            "bad = []\n"
+            f"for n in ({SPLIT + 1}, {2 * SPLIT + 3}):\n"
+            "    ratings = rng.integers(0, 7, size=(n, 21)).astype(np.float64)\n"
+            "    for X in (ratings, rng.normal(size=(n, 2)) * 3.0):\n"
+            "        for k in (2, 16):\n"
+            "            labelings = rng.integers(0, k, size=(2, n))\n"
+            "            ms = [row[:, None] == np.unique(row)[None, :] for row in labelings]\n"
+            "            for sums, m in zip(metrics._distance_sums(X, ms), ms):\n"
+            "                if not np.array_equal(sums, distance_sums_oracle(X, m)):\n"
+            "                    bad.append((n, X.shape[1], k))\n"
+            "print(len(bad), bad)\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="2"),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
 
 
 class TestSilhouette:
@@ -405,6 +462,35 @@ class TestSilhouette:
         with pytest.raises(LengthMismatch):
             silhouette(rng.normal(size=(5, 2)), [0, 1])
 
+    @pytest.mark.parametrize("n", [4, 37, SPLIT + 1])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_stacked_rows_equal_lone_calls(self, n, integral, rng):
+        X = rng.integers(0, 7, size=(n, 6)).astype(np.float64)
+        if not integral:
+            X += rng.normal(size=X.shape)
+        stack = np.stack([rng.integers(0, k, size=n) for k in (2, 3, 16)])
+        stack[:, :2] = [0, 1]  # at least two clusters in each row
+        values, means = silhouette_samples(X, stack), silhouette(X, stack)
+        assert values.shape == (3, n) and means.shape == (3,)
+        for row, labels in enumerate(stack):
+            assert np.array_equal(values[row], silhouette_samples(X, labels))
+            alone = silhouette(X, labels)
+            assert isinstance(alone, float) and means[row] == alone
+            if n < 100:
+                assert abs(means[row] - silhouette_oracle(X, labels)) < 1e-12
+
+    def test_stack_with_one_single_cluster_row_rejected(self, rng):
+        with pytest.raises(SingleClusterOnly):
+            silhouette(rng.normal(size=(5, 2)), [[0, 1, 0, 1, 0], [3, 3, 3, 3, 3]])
+
+    def test_stack_of_wrong_width_rejected(self, rng):
+        with pytest.raises(LengthMismatch):
+            silhouette(rng.normal(size=(5, 2)), [[0, 1, 0, 1], [1, 0, 1, 0]])
+
+    def test_empty_stack_rejected(self, rng):
+        with pytest.raises(EmptyInput):
+            silhouette(rng.normal(size=(5, 2)), np.empty((0, 5), dtype=np.int64))
+
 
 class TestEvaluate:
     def _fit(self, rng):
@@ -417,7 +503,7 @@ class TestEvaluate:
 
     def test_separable_data_scores_perfect(self, rng):
         labels, result = self._fit(rng)
-        report = evaluate(labels, result)
+        [report] = evaluate(labels, [result])
         assert report.method == "kmeans++"
         assert report.homogeneity == pytest.approx(1.0, abs=1e-12)
         assert report.ari == 1.0
@@ -427,13 +513,46 @@ class TestEvaluate:
     def test_length_mismatch_rejected(self, rng):
         labels, result = self._fit(rng)
         with pytest.raises(LengthMismatch):
-            evaluate(labels[:-1], result)
+            evaluate(labels[:-1], [result])
+
+    def test_space_with_nan_is_scored(self, rng):
+        labels, result = self._fit(rng)
+        space = result.space.copy()
+        space[0, 0] = np.nan
+        nan_result = dataclasses.replace(result, space=space)
+        reports = evaluate(labels, [nan_result, nan_result, result])
+        assert reports[0] == reports[1]
+        assert reports[0].silhouette == silhouette(space, result.assignments)
 
     def test_type_codes_score_like_types(self, survey_dataset):
         X = survey_dataset.feature_matrix("music")
         result = kmeans.fit(X, kmeans.KmeansConfig(k=16, seed=3, restarts=1))
-        by_code = evaluate(survey_dataset.type_codes, result)
-        assert by_code == evaluate(survey_dataset.types, result)
+        by_code = evaluate(survey_dataset.type_codes, [result])
+        assert by_code == evaluate(survey_dataset.types, [result])
+
+    def test_equal_spaces_share_one_silhouette_call(self, survey_dataset, monkeypatch):
+        X = survey_dataset.feature_matrix("movies")
+        configs = [
+            kmeans.KmeansConfig(k=16, seed=1, restarts=1),
+            kmeans.KmeansConfig(k=16, init="random", seed=2, restarts=1),
+            kmeans.KmeansConfig(k=16, reduce_first=2, seed=3, restarts=1),
+            kmeans.KmeansConfig(k=2, seed=4, restarts=1),
+            kmeans.KmeansConfig(k=16, reduce_first=2, seed=3, restarts=1),
+        ]
+        results = [kmeans.fit(X, config) for config in configs]
+        alone = [silhouette(r.space, r.assignments) for r in results]
+        calls = []
+        real_silhouette = metrics.silhouette
+
+        def counting_silhouette(data, assignments):
+            calls.append(np.shape(assignments))
+            return real_silhouette(data, assignments)
+
+        monkeypatch.setattr(metrics, "silhouette", counting_silhouette)
+        reports = evaluate(survey_dataset.type_codes, results)
+        assert calls == [(3, X.shape[0]), (2, X.shape[0])]
+        assert [r.silhouette for r in reports] == alone
+        assert [r.method for r in reports] == [r.method for r in results]
 
 
 class TestMethodComparison:
@@ -474,6 +593,28 @@ class TestMethodComparison:
             small_dataset, k=3, categories=("movies", "music"), seed=2, restarts=2
         )
         assert len(fits) == 2  # one per pca-based cell
+
+    def test_silhouettes_equal_lone_calls(self, survey_dataset, monkeypatch):
+        results = []
+        real_fit = kmeans.fit
+
+        def recording_fit(*args, **kwargs):
+            results.append(real_fit(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(kmeans, "fit", recording_fit)
+        rows = run_method_comparison(
+            survey_dataset,
+            k=16,
+            methods=("kmeans++", "random", "kmeans++", "pca", "pca-based"),
+            categories=("movies", "music"),
+            seed=8,
+            restarts=1,
+        )
+        assert len(rows) == len(results) == 10
+        for (_, report), result in zip(rows, results):
+            assert report.method == result.method
+            assert report.silhouette == silhouette(result.space, result.assignments)
 
     def test_unknown_method_rejected(self, small_dataset):
         with pytest.raises(Error):
