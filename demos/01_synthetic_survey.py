@@ -4,27 +4,28 @@ The generator plants per-type rating tendencies, so downstream clustering
 has real structure to find while staying fully reproducible from one seed.
 """
 
-from typetaste import ingest
+import numpy as np
+
+from typetaste import ALL_TYPES, ingest
 
 print("Building a synthetic survey with the reference type frequencies...")
 config = ingest.SynthConfig(seed=2026)
 dataset = ingest.generate_synthetic(config)
 matrix = dataset.rating_matrix()
-print(f"  {len(dataset.records)} respondents x {matrix.shape[1]} genre ratings")
+print(f"  {len(dataset)} respondents x {matrix.shape[1]} genre ratings")
 print(f"  ratings span {matrix.min()}..{matrix.max()} (0 means never tried)")
 
 print()
 print("Type frequencies, largest first:")
-frequencies = ingest.type_frequencies(dataset)
-for mbti, count in frequencies.ranked():
-    if count:
-        bar = "#" * (count // 5)
-        print(f"  {mbti.value}  {count:4d}  {bar}")
+counts = np.bincount(dataset.type_codes, minlength=len(ALL_TYPES))
+ranked = [(ALL_TYPES[i], counts[i]) for i in np.argsort(-counts, kind="stable") if counts[i]]
+for mbti, count in ranked:
+    print(f"  {mbti.value}  {count:4d}  " + "#" * (count // 5))
 
-summary = ingest.skew_summary(frequencies)
+introverts = sum(count for mbti, count in ranked if mbti.is_introvert)
 print()
-print(f"Introvert share: {summary.introvert_fraction:.1%}")
-print(f"Four most common types: {', '.join(t.value for t, _ in summary.top_types)}")
+print(f"Introvert share: {introverts / counts.sum():.1%}")
+print(f"Four most common types: {', '.join(mbti.value for mbti, _ in ranked[:4])}")
 print()
 print("Re-running with the same seed reproduces the file byte for byte;")
 print("change the seed (or supply your own frequency table) for variations.")

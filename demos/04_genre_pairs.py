@@ -6,8 +6,10 @@ Psychology and a push away from Religion & Spirituality, which shows up
 directly in the joint rating table and the per-genre profile means.
 """
 
+import numpy as np
+
 from typetaste import analysis, ingest, recommend
-from typetaste.domain import PSYCHOLOGY, RELIGION_SPIRITUALITY, TYPE_INDEX
+from typetaste.domain import ALL_TYPES, PSYCHOLOGY, RELIGION_SPIRITUALITY, TYPE_INDEX
 
 dataset = ingest.generate_synthetic(ingest.SynthConfig(seed=2026))
 
@@ -31,9 +33,9 @@ leaning = analysis.inclination(profiles, "intp", PSYCHOLOGY, RELIGION_SPIRITUALI
 print(f"=> intp respondents lean toward {leaning}")
 
 print()
-print("The frequency helper feeds bar plots; restricted to four types:")
+print("Per-type counts feed bar plots; restricted to four types:")
 subset = dataset.restrict_types(["intp", "intj", "esfj", "esfp"])
-counts = ingest.type_frequencies(subset)
-for mbti, count in counts.ranked():
-    if count:
-        print(f"  {mbti.value}  {count:4d}  " + "#" * (count // 5))
+counts = np.bincount(subset.type_codes, minlength=len(ALL_TYPES))
+for i in np.argsort(-counts, kind="stable"):
+    if counts[i]:
+        print(f"  {ALL_TYPES[i].value}  {counts[i]:4d}  " + "#" * (counts[i] // 5))

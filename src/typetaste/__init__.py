@@ -16,16 +16,7 @@ from .domain import (
     parse_mbti,
     save_catalog,
 )
-from .ingest import (
-    SynthConfig,
-    TypeFrequencyTable,
-    generate_synthetic,
-    load_dataset,
-    save_dataset,
-    skew_summary,
-    survey_frequency_table,
-    type_frequencies,
-)
+from .ingest import SynthConfig, generate_synthetic, load_dataset, save_dataset
 
 __version__ = "0.1.0"
 
@@ -36,7 +27,6 @@ __all__ = [
     "MbtiType",
     "SurveyRecord",
     "SynthConfig",
-    "TypeFrequencyTable",
     "analysis",
     "default_catalog",
     "domain",
@@ -52,7 +42,4 @@ __all__ = [
     "recommend",
     "save_catalog",
     "save_dataset",
-    "skew_summary",
-    "survey_frequency_table",
-    "type_frequencies",
 ]

@@ -12,11 +12,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from . import analysis, ingest, kmeans, metrics, pca, recommend
-from .domain import Dataset, GenreCatalog, check_seed, default_catalog, load_catalog, parse_mbti
-from .domain import read_utf8
-from .errors import Error, InvalidMbtiCode
+from .domain import ALL_TYPES, Dataset, GenreCatalog, check_seed, default_catalog, load_catalog
+from .domain import parse_mbti, read_utf8
+from .errors import EmptyTable, Error, InvalidMbtiCode
 
 PROG = "typetaste"
 
@@ -78,7 +80,7 @@ def _load_dataset_arg(args: argparse.Namespace) -> Dataset:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.paper_frequencies:
-        frequencies = ingest.survey_frequency_table()
+        frequencies = ingest.SURVEY_TYPE_COUNTS
     else:
         try:
             doc = json.loads(read_utf8(args.freq_file))
@@ -86,7 +88,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise Error(f"invalid JSON in {args.freq_file}: {exc}") from None
         if not isinstance(doc, dict):
             raise Error("frequency file must be a JSON object of type -> count")
-        frequencies = ingest.TypeFrequencyTable(doc)
+        frequencies = doc
     catalog = _load_catalog_arg(args)
     config = ingest.SynthConfig(seed=args.seed, frequencies=frequencies, catalog=catalog)
     dataset = ingest.generate_synthetic(config)
@@ -94,10 +96,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _type_counts(dataset: Dataset) -> np.ndarray:
+    """Respondents per type, in ``ALL_TYPES`` order."""
+    return np.bincount(dataset.type_codes, minlength=len(ALL_TYPES))
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
-    frequencies = ingest.type_frequencies(dataset)
-    present = sum(1 for _, count in frequencies.items() if count > 0)
+    present = np.count_nonzero(_type_counts(dataset))
     print(
         f"ok: {len(dataset)} records, {len(dataset.catalog)} genre columns, "
         f"{present} personality types"
@@ -193,14 +199,19 @@ def cmd_scatter(args: argparse.Namespace) -> int:
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
-    dataset = _load_dataset_arg(args)
-    table = ingest.type_frequencies(dataset)
-    summary = ingest.skew_summary(table)
-    lines = [f"# total={summary.total}"]
-    lines.append(f"# introvert_fraction={summary.introvert_fraction:.6f}")
-    lines.append("# top4=" + ",".join(t.value for t, _ in summary.top_types))
+    """Total, introvert share and the four most frequent types, then every
+    type's count by descending count, ties in alphabetical order."""
+    counts = _type_counts(_load_dataset_arg(args)).tolist()
+    total = sum(counts)
+    if total == 0:
+        raise EmptyTable("cannot summarize an empty frequency table")
+    introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t.is_introvert)
+    ranked = sorted(zip(ALL_TYPES, counts), key=lambda tc: (-tc[1], tc[0].value))
+    lines = [f"# total={total}"]
+    lines.append(f"# introvert_fraction={introverts / total:.6f}")
+    lines.append("# top4=" + ",".join(t.value for t, _ in ranked[:4]))
     lines.append("mbti,count")
-    lines.extend(f"{t.value},{count}" for t, count in table.ranked())
+    lines.extend(f"{t.value},{count}" for t, count in ranked)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -1,7 +1,8 @@
-"""Survey dataset I/O, frequency summaries, and synthetic data generation.
+"""Survey dataset I/O and synthetic data generation.
 
 The dataset wire format is a strict CSV: header ``respondent_id,mbti`` followed
-by one column per catalog genre, UTF-8, LF line endings, integer cells 0..6.
+by one column per catalog genre, UTF-8, integer cells 0..6.  Files are written
+with LF line endings and read with LF or CRLF.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .domain import (
 )
 from .errors import (
     DuplicateRespondent,
-    EmptyTable,
     Error,
     InvalidRating,
     SchemaMismatch,
@@ -72,55 +72,6 @@ SURVEY_TYPE_COUNTS: Mapping[str, int] = {
 TOP_SURVEY_TYPES: tuple[str, ...] = tuple(SURVEY_TYPE_COUNTS)[:4]
 
 
-@dataclass(frozen=True)
-class TypeFrequencyTable:
-    """Respondent counts per personality type, always covering all 16 types."""
-
-    counts: Mapping[MbtiType, int]
-
-    def __post_init__(self) -> None:
-        raw = dict(self.counts)
-        normalized: dict[MbtiType, int] = {}
-        for key, value in raw.items():
-            t = parse_mbti(key)
-            try:
-                v = operator.index(value)
-            except TypeError:
-                v = None
-            if v is None or isinstance(value, bool):
-                raise Error(f"count for {t} must be an integer, got {type(value).__name__}")
-            if v < 0:
-                raise Error(f"negative count for {t}: {v}")
-            if t in normalized:
-                raise Error(f"repeated type in frequency table: {t}")
-            normalized[t] = v
-        full = {t: normalized.get(t, 0) for t in ALL_TYPES}
-        object.__setattr__(self, "counts", full)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def count(self, mbti: MbtiType | str) -> int:
-        return self.counts[parse_mbti(mbti)]
-
-    def __getitem__(self, mbti: MbtiType | str) -> int:
-        return self.count(mbti)
-
-    def items(self) -> tuple[tuple[MbtiType, int], ...]:
-        """(type, count) pairs in canonical alphabetical type order."""
-        return tuple((t, self.counts[t]) for t in ALL_TYPES)
-
-    def ranked(self) -> tuple[tuple[MbtiType, int], ...]:
-        """(type, count) pairs by descending count, ties in alphabetical order."""
-        return tuple(sorted(self.items(), key=lambda tc: (-tc[1], tc[0].value)))
-
-
-def survey_frequency_table() -> TypeFrequencyTable:
-    """The reference survey's 1020-respondent frequency profile."""
-    return TypeFrequencyTable(SURVEY_TYPE_COUNTS)
-
-
 def planted_means(catalog: GenreCatalog) -> np.ndarray:
     """The (16, n_genres) mean rating per type and catalog genre that
     synthetic ratings are sampled around, rows in canonical type order.
@@ -150,16 +101,51 @@ def planted_means(catalog: GenreCatalog) -> np.ndarray:
 class SynthConfig:
     """Everything that determines a synthetic dataset: seed, per-type counts
     and catalog.  Identical configs produce identical datasets.
+
+    ``frequencies`` is given as a ``{type: count}`` mapping, with codes in
+    any case and unnamed types counting 0, and is stored as a read-only
+    int64 ``(16,)`` array in :data:`~typetaste.domain.ALL_TYPES` order.  That
+    array is accepted back too, so ``dataclasses.replace`` works.
     """
 
     seed: int
-    frequencies: TypeFrequencyTable = field(default_factory=survey_frequency_table)
+    frequencies: Mapping[MbtiType | str, int] | np.ndarray = field(
+        default_factory=SURVEY_TYPE_COUNTS.copy
+    )
     catalog: GenreCatalog = field(default_factory=default_catalog)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.frequencies.total <= 0:
+        given = self.frequencies
+        if isinstance(given, np.ndarray):
+            given = zip(ALL_TYPES, given.tolist(), strict=True)
+        counts: dict[MbtiType, int] = {}
+        for key, value in dict(given).items():
+            t = parse_mbti(key)
+            try:
+                v = operator.index(value)
+            except TypeError:
+                v = None
+            if v is None or isinstance(value, bool):
+                raise Error(f"count for {t} must be an integer, got {type(value).__name__}")
+            if v < 0:
+                raise Error(f"negative count for {t}: {v}")
+            if t in counts:
+                raise Error(f"repeated type in frequency table: {t}")
+            counts[t] = v
+        total = sum(counts.values())
+        if total <= 0:
             raise Error("frequency table must have at least one respondent")
+        # The normal draws are the largest array: one float64 per rating.
+        width = len(self.catalog)
+        if total * width * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+            raise Error(
+                f"frequency table too large: {total} respondents x {width} genres "
+                "exceed the largest array numpy can hold"
+            )
+        frequencies = np.array([counts.get(t, 0) for t in ALL_TYPES], dtype=np.int64)
+        frequencies.flags.writeable = False
+        object.__setattr__(self, "frequencies", frequencies)
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -177,7 +163,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     codes: list[int] = []
     blocks: list[np.ndarray] = []
     for ti, t in enumerate(ALL_TYPES):
-        count = config.frequencies.count(t)
+        count = int(config.frequencies[ti])
         if count == 0:
             continue
         raw = rng.normal(loc=means[ti], scale=1.0, size=(count, width))
@@ -282,35 +268,3 @@ def dataset_to_csv(dataset: Dataset) -> str:
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(dataset_to_csv(dataset))
-
-
-def type_frequencies(dataset: Dataset) -> TypeFrequencyTable:
-    """Observed respondent counts per type."""
-    counts = np.bincount(dataset.type_codes, minlength=len(ALL_TYPES))
-    return TypeFrequencyTable(dict(zip(ALL_TYPES, counts.tolist())))
-
-
-@dataclass(frozen=True)
-class SkewSummary:
-    """Headline imbalance figures for a frequency table."""
-
-    total: int
-    introvert_fraction: float
-    top_types: tuple[tuple[MbtiType, int], ...]
-
-
-def skew_summary(table: TypeFrequencyTable) -> SkewSummary:
-    """Introvert share and the first four types of
-    :meth:`TypeFrequencyTable.ranked`.
-
-    An empty table has no meaningful skew and raises :class:`EmptyTable`.
-    """
-    total = table.total
-    if total == 0:
-        raise EmptyTable("cannot summarize an empty frequency table")
-    introverts = sum(c for t, c in table.items() if t.is_introvert)
-    return SkewSummary(
-        total=total,
-        introvert_fraction=introverts / total,
-        top_types=table.ranked()[:4],
-    )

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -278,15 +278,7 @@ def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
         result = lloyd(work, centroids, config)
         if best is None or result.inertia < best.inertia:
             best = result
-    return ClusteringResult(
-        assignments=best.assignments,
-        centroids=best.centroids,
-        inertia=best.inertia,
-        iterations=best.iterations,
-        elapsed=time.perf_counter() - start,
-        method=method,
-        space=work,
-    )
+    return replace(best, elapsed=time.perf_counter() - start, method=method)
 
 
 def result_to_json(result: ClusteringResult) -> str:

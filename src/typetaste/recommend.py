@@ -11,7 +11,7 @@ score with alphabetical tie-break.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -185,16 +185,7 @@ def recommendation_to_json(rec: Recommendation) -> str:
     doc = {
         "mbti": rec.mbti.value,
         "strategy": rec.strategy,
-        "items": [
-            {
-                "genre": item.genre,
-                "category": item.category,
-                "score": item.score,
-                "support": item.support,
-                "low_support": item.low_support,
-            }
-            for item in rec.items
-        ],
+        "items": [asdict(item) for item in rec.items],
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -13,9 +13,7 @@ def survey_dataset() -> domain.Dataset:
 @pytest.fixture(scope="session")
 def small_dataset() -> domain.Dataset:
     """Small dataset (64 respondents over 4 types) for pipeline-speed tests."""
-    frequencies = ingest.TypeFrequencyTable(
-        {"intp": 20, "intj": 16, "enfp": 16, "estj": 12}
-    )
+    frequencies = {"intp": 20, "intj": 16, "enfp": 16, "estj": 12}
     config = ingest.SynthConfig(seed=11, frequencies=frequencies)
     return ingest.generate_synthetic(config)
 

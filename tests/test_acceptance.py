@@ -26,7 +26,7 @@ from oracles import (
 )
 from typetaste import ingest, metrics, recommend
 from typetaste.cli import run
-from typetaste.domain import PSYCHOLOGY, RELIGION_SPIRITUALITY, default_catalog
+from typetaste.domain import ALL_TYPES, PSYCHOLOGY, RELIGION_SPIRITUALITY, default_catalog
 from typetaste.kmeans import (
     INIT_RANDOM,
     KmeansConfig,
@@ -97,9 +97,7 @@ def full_survey_csv(tmp_path_factory, survey_dataset):
 @pytest.fixture(scope="module")
 def compact_csv(tmp_path_factory):
     """56 respondents over 4 types; keeps the CLI-level checks quick."""
-    frequencies = ingest.TypeFrequencyTable(
-        {"intp": 18, "intj": 14, "enfp": 14, "estj": 10}
-    )
+    frequencies = {"intp": 18, "intj": 14, "enfp": 14, "estj": 10}
     dataset = ingest.generate_synthetic(
         ingest.SynthConfig(seed=515, frequencies=frequencies)
     )
@@ -119,8 +117,8 @@ def test_01_dataset_shape_fidelity(tmp_path):
 
     dataset = ingest.load_dataset(out)
     assert len(dataset.records) == 1020
-    counts = ingest.type_frequencies(dataset)
-    assert {t.value: c for t, c in counts.items() if c} == REFERENCE_COUNTS
+    counts = np.bincount(dataset.type_codes, minlength=len(ALL_TYPES)).tolist()
+    assert {t.value: c for t, c in zip(ALL_TYPES, counts) if c} == REFERENCE_COUNTS
 
     catalog = default_catalog()
     assert dataset.rating_matrix().shape == (1020, 121)

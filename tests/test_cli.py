@@ -7,13 +7,14 @@ from typetaste.cli import run
 from typetaste.domain import default_catalog, save_catalog
 
 
+TOO_LARGE = "respondents x 121 genres exceed the largest array numpy can hold"
+
+
 @pytest.fixture(scope="module")
 def small_csv(tmp_path_factory):
     """Dataset file for CLI tests: 4 types, 56 respondents."""
     path = tmp_path_factory.mktemp("cli") / "survey.csv"
-    frequencies = ingest.TypeFrequencyTable(
-        {"intp": 18, "intj": 14, "enfp": 14, "estj": 10}
-    )
+    frequencies = {"intp": 18, "intj": 14, "enfp": 14, "estj": 10}
     dataset = ingest.generate_synthetic(ingest.SynthConfig(seed=303, frequencies=frequencies))
     ingest.save_dataset(dataset, path)
     return path
@@ -65,6 +66,29 @@ class TestSynth:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("typetaste: error: count for enfj must be an integer")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"intp": 3, "enfj": -4}', "negative count for enfj: -4"),
+            ('{"intp": 3, "INTP": 2}', "repeated type in frequency table: intp"),
+            ('{"intp": 3, "wxyz": 2}', "not a valid personality code: 'wxyz'"),
+            ('{"intp": 0}', "frequency table must have at least one respondent"),
+            # Without the size check numpy still refuses these two before it
+            # allocates, so a regression cannot exhaust memory here.  Counts
+            # from about 10**7 to 10**15 would allocate and stay untested.
+            (f'{{"intp": {10**30}}}', f"frequency table too large: {10**30} {TOO_LARGE}"),
+            (f'{{"intp": {10**17}}}', f"frequency table too large: {10**17} {TOO_LARGE}"),
+        ],
+        ids=["negative", "repeated", "unknown", "empty", "1e30", "1e17"],
+    )
+    def test_bad_count_is_data_error(self, tmp_path, capsys, doc, message):
+        freq = tmp_path / "freq.json"
+        freq.write_text(doc)
+        assert run(["synth", "--freq-file", str(freq)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"typetaste: error: {message}\n"
 
     def test_bad_seed_is_usage_error(self, tmp_path, capsys):
         assert run(["synth", "--paper-frequencies", "--seed", "-3"]) == 2

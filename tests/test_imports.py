@@ -1,5 +1,6 @@
 """Every module-level import in the package, the tests and the demos is used,
-and starting the CLI loads no scipy.
+starting the CLI loads no scipy, and ``from typetaste import *`` binds every
+name the package exports.
 
 A name an import binds counts as used when it appears as a name anywhere in
 the same file, or when the file lists it in ``__all__``.  ``__future__``
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import typetaste
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -74,3 +77,10 @@ def test_cli_start_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "1.0"]
+
+
+def test_star_import_binds_every_exported_name():
+    """A stale ``__all__`` entry makes ``from typetaste import *`` raise."""
+    namespace: dict = {}
+    exec("from typetaste import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(typetaste.__all__)

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import load_dataset_oracle
-from typetaste.domain import ALL_TYPES, MbtiType, default_catalog
+from typetaste.cli import run
+from typetaste.domain import ALL_TYPES, TYPE_INDEX, MbtiType, default_catalog
 from typetaste.errors import (
     DuplicateRespondent,
-    EmptyTable,
     Error,
     InvalidMbtiCode,
     InvalidRating,
@@ -14,71 +16,88 @@ from typetaste.errors import (
 from typetaste.ingest import (
     SURVEY_TYPE_COUNTS,
     SynthConfig,
-    TypeFrequencyTable,
     dataset_to_csv,
     generate_synthetic,
     load_dataset,
     planted_means,
     save_dataset,
-    skew_summary,
-    survey_frequency_table,
-    type_frequencies,
 )
+
+
+def _counts(dataset) -> np.ndarray:
+    return np.bincount(dataset.type_codes, minlength=len(ALL_TYPES))
+
+
+def _freq(tmp_path, capsys, dataset) -> list[str]:
+    """The lines ``freq`` prints for ``dataset``."""
+    path = tmp_path / "survey.csv"
+    save_dataset(dataset, path)
+    assert run(["freq", "--input", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()
 
 
 class TestSurveyTypeCounts:
     def test_totals(self):
-        table = survey_frequency_table()
-        assert table.total == 1020
-        introverts = sum(c for t, c in table.items() if t.is_introvert)
+        counts = SynthConfig(seed=0).frequencies.tolist()
+        assert sum(counts) == 1020
+        introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t.is_introvert)
         assert introverts == 820
 
     def test_reference_counts(self):
-        table = survey_frequency_table()
-        assert table["intp"] == 221
-        assert table["intj"] == 160
-        assert table["infj"] == 134
-        assert table["infp"] == 111
-        assert table["istp"] == 81
-        assert table["esfj"] == 3
+        counts = SynthConfig(seed=0).frequencies
+        assert counts[TYPE_INDEX["intp"]] == 221
+        assert counts[TYPE_INDEX["intj"]] == 160
+        assert counts[TYPE_INDEX["infj"]] == 134
+        assert counts[TYPE_INDEX["infp"]] == 111
+        assert counts[TYPE_INDEX["istp"]] == 81
+        assert counts[TYPE_INDEX["esfj"]] == 3
         assert sum(SURVEY_TYPE_COUNTS.values()) == 1020
 
 
 class TestTypeFrequencyTable:
+    """The per-type frequency table: ``SynthConfig`` turns a ``{type: count}``
+    mapping into one read-only int64 vector in ``ALL_TYPES`` order, and
+    ``freq`` ranks a survey's counts."""
+
     def test_missing_types_default_to_zero(self):
-        table = TypeFrequencyTable({"intp": 5})
-        assert table["intp"] == 5
-        assert table["esfj"] == 0
-        assert table.total == 5
-        assert len(table.items()) == 16
+        counts = SynthConfig(seed=0, frequencies={"intp": 5}).frequencies
+        assert counts.dtype == np.int64 and counts.shape == (16,)
+        assert counts[TYPE_INDEX["intp"]] == 5
+        assert counts[TYPE_INDEX["esfj"]] == 0
+        assert counts.sum() == 5
 
     def test_items_canonical_order(self):
-        table = TypeFrequencyTable({"istp": 1, "enfj": 2})
-        assert [t for t, _ in table.items()] == list(ALL_TYPES)
+        frequencies = {"istp": 1, "enfj": 2}
+        counts = SynthConfig(seed=0, frequencies=frequencies).frequencies
+        assert counts.tolist() == [frequencies.get(t.value, 0) for t in ALL_TYPES]
+        with pytest.raises(ValueError):
+            counts[0] = 1
 
     def test_string_and_enum_keys(self):
-        table = TypeFrequencyTable({MbtiType.INTP: 3, "ENFJ": 4})
-        assert table[MbtiType.INTP] == 3
-        assert table["enfj"] == 4
+        counts = SynthConfig(seed=0, frequencies={MbtiType.INTP: 3, "ENFJ": 4}).frequencies
+        assert counts[TYPE_INDEX[MbtiType.INTP]] == 3
+        assert counts[TYPE_INDEX["enfj"]] == 4
 
     def test_negative_count_rejected(self):
-        with pytest.raises(Error):
-            TypeFrequencyTable({"intp": -1})
+        with pytest.raises(Error, match="^negative count for intp: -1$"):
+            SynthConfig(seed=0, frequencies={"intp": -1})
 
     def test_conflicting_spellings_rejected(self):
-        with pytest.raises(Error):
-            TypeFrequencyTable({"intp": 1, "INTP": 2})
+        with pytest.raises(Error, match="^repeated type in frequency table: intp$"):
+            SynthConfig(seed=0, frequencies={"intp": 1, "INTP": 2})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidMbtiCode):
-            TypeFrequencyTable({"wxyz": 1})
+            SynthConfig(seed=0, frequencies={"wxyz": 1})
 
-    def test_ranked_descending_with_alpha_ties(self):
-        table = TypeFrequencyTable({"intp": 4, "enfj": 9, "istp": 4, "esfj": 1})
-        ranked = table.ranked()
-        assert [t.value for t, _ in ranked[:4]] == ["enfj", "intp", "istp", "esfj"]
+    def test_ranked_descending_with_alpha_ties(self, tmp_path, capsys):
+        frequencies = {"intp": 4, "enfj": 9, "istp": 4, "esfj": 1}
+        dataset = generate_synthetic(SynthConfig(seed=0, frequencies=frequencies))
+        lines = _freq(tmp_path, capsys, dataset)
+        ranked = [line.split(",") for line in lines[4:]]
+        assert [t for t, _ in ranked[:4]] == ["enfj", "intp", "istp", "esfj"]
         assert len(ranked) == 16
-        assert ranked[-1][1] == 0
+        assert ranked[-1][1] == "0"
 
 
 class TestPlantedMeans:
@@ -110,7 +129,7 @@ class TestPlantedMeans:
 class TestSynthConfig:
     def test_defaults(self):
         config = SynthConfig(seed=1)
-        assert config.frequencies.total == 1020
+        assert config.frequencies.sum() == 1020
         assert len(config.catalog) == 121
 
     def test_seed_range_enforced(self):
@@ -120,29 +139,36 @@ class TestSynthConfig:
         with pytest.raises(Error):
             SynthConfig(seed=2**64)
 
+    def test_replace_keeps_frequencies(self):
+        config = SynthConfig(seed=1, frequencies={"intp": 3, "enfj": 2})
+        other = replace(config, seed=2)
+        assert other.frequencies.tolist() == config.frequencies.tolist()
+        assert not other.frequencies.flags.writeable
+        assert len(generate_synthetic(other)) == 5
+
     def test_empty_frequencies_rejected(self):
-        with pytest.raises(Error):
-            SynthConfig(seed=1, frequencies=TypeFrequencyTable({}))
+        for frequencies in ({}, {"intp": 0}):
+            with pytest.raises(Error, match="at least one respondent"):
+                SynthConfig(seed=1, frequencies=frequencies)
 
 
 class TestGenerateSynthetic:
     def test_honors_frequencies_exactly(self):
-        frequencies = TypeFrequencyTable({"intp": 5, "esfp": 2})
-        ds = generate_synthetic(SynthConfig(seed=0, frequencies=frequencies))
-        observed = type_frequencies(ds)
-        assert observed["intp"] == 5
-        assert observed["esfp"] == 2
-        assert observed.total == 7
+        config = SynthConfig(seed=0, frequencies={"intp": 5, "esfp": 2})
+        observed = _counts(generate_synthetic(config))
+        assert observed.tolist() == config.frequencies.tolist()
+        assert observed[TYPE_INDEX["intp"]] == 5
+        assert observed[TYPE_INDEX["esfp"]] == 2
+        assert observed.sum() == 7
 
     def test_reference_dataset_shape(self, survey_dataset):
         assert len(survey_dataset) == 1020
-        observed = type_frequencies(survey_dataset)
+        observed = _counts(survey_dataset)
         for code, count in SURVEY_TYPE_COUNTS.items():
-            assert observed[code] == count
+            assert observed[TYPE_INDEX[code]] == count
 
     def test_id_format_and_grouping(self):
-        frequencies = TypeFrequencyTable({"enfj": 2, "intp": 2})
-        ds = generate_synthetic(SynthConfig(seed=1, frequencies=frequencies))
+        ds = generate_synthetic(SynthConfig(seed=1, frequencies={"enfj": 2, "intp": 2}))
         assert ds.respondent_ids == ("enfj-000", "enfj-001", "intp-000", "intp-001")
 
     def test_ratings_in_scale(self, survey_dataset):
@@ -247,27 +273,36 @@ class TestDatasetCsv:
 
 
 class TestSkewSummary:
-    def test_reference_profile(self):
-        summary = skew_summary(survey_frequency_table())
-        assert summary.total == 1020
-        assert summary.introvert_fraction == pytest.approx(820 / 1020)
-        assert [t.value for t, _ in summary.top_types] == [
-            "intp", "intj", "infj", "infp",
+    """The skew summary ``freq`` prints above its ranked counts."""
+
+    def test_reference_profile(self, tmp_path, capsys, survey_dataset):
+        lines = _freq(tmp_path, capsys, survey_dataset)
+        assert lines[:3] == [
+            "# total=1020",
+            f"# introvert_fraction={820 / 1020:.6f}",
+            "# top4=intp,intj,infj,infp",
         ]
-        assert [c for _, c in summary.top_types] == [221, 160, 134, 111]
+        assert lines[4:8] == ["intp,221", "intj,160", "infj,134", "infp,111"]
 
-    def test_tie_breaks_alphabetically(self):
-        table = TypeFrequencyTable({"istp": 4, "enfj": 4, "intp": 9})
-        summary = skew_summary(table)
-        assert [t.value for t, _ in summary.top_types] == ["intp", "enfj", "istp", "enfp"]
+    def test_tie_breaks_alphabetically(self, tmp_path, capsys):
+        frequencies = {"istp": 4, "enfj": 4, "intp": 9}
+        dataset = generate_synthetic(SynthConfig(seed=0, frequencies=frequencies))
+        lines = _freq(tmp_path, capsys, dataset)
+        assert lines[2] == "# top4=intp,enfj,istp,enfp"
 
-    def test_empty_table_raises(self):
-        with pytest.raises(EmptyTable):
-            skew_summary(TypeFrequencyTable({"intp": 0}))
+    def test_empty_table_raises(self, tmp_path, capsys, small_dataset):
+        path = tmp_path / "empty.csv"
+        path.write_text(dataset_to_csv(small_dataset).splitlines()[0] + "\n")
+        assert run(["freq", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "typetaste: error: cannot summarize an empty frequency table\n"
 
-    def test_all_extrovert_fraction(self):
-        table = TypeFrequencyTable({"enfj": 2, "estp": 2})
-        assert skew_summary(table).introvert_fraction == 0.0
+    def test_all_extrovert_fraction(self, tmp_path, capsys):
+        frequencies = {"enfj": 2, "estp": 2}
+        dataset = generate_synthetic(SynthConfig(seed=0, frequencies=frequencies))
+        lines = _freq(tmp_path, capsys, dataset)
+        assert lines[1] == "# introvert_fraction=0.000000"
 
 
 class TestLoaderAgainstOracle:

@@ -287,8 +287,8 @@ def _assert_sums_exact(X, *labelings):
 @pytest.fixture(scope="module")
 def movies_ratings() -> np.ndarray:
     """Integer movies ratings of a survey three times the reference size."""
-    counts = {t: 3 * c for t, c in ingest.survey_frequency_table().items()}
-    config = ingest.SynthConfig(seed=31, frequencies=ingest.TypeFrequencyTable(counts))
+    counts = {t: 3 * c for t, c in ingest.SURVEY_TYPE_COUNTS.items()}
+    config = ingest.SynthConfig(seed=31, frequencies=counts)
     return ingest.generate_synthetic(config).feature_matrix("movies").astype(np.float64)
 
 
