@@ -20,12 +20,12 @@ print("Type frequencies, largest first:")
 counts = np.bincount(dataset.type_codes, minlength=len(ALL_TYPES))
 ranked = [(ALL_TYPES[i], counts[i]) for i in np.argsort(-counts, kind="stable") if counts[i]]
 for mbti, count in ranked:
-    print(f"  {mbti.value}  {count:4d}  " + "#" * (count // 5))
+    print(f"  {mbti}  {count:4d}  " + "#" * (count // 5))
 
-introverts = sum(count for mbti, count in ranked if mbti.is_introvert)
+introverts = sum(count for mbti, count in ranked if mbti[0] == "i")
 print()
 print(f"Introvert share: {introverts / counts.sum():.1%}")
-print(f"Four most common types: {', '.join(mbti.value for mbti, _ in ranked[:4])}")
+print(f"Four most common types: {', '.join(mbti for mbti, _ in ranked[:4])}")
 print()
 print("Re-running with the same seed reproduces the file byte for byte;")
 print("change the seed (or supply your own frequency table) for variations.")

@@ -38,4 +38,4 @@ subset = dataset.restrict_types(["intp", "intj", "esfj", "esfp"])
 counts = np.bincount(subset.type_codes, minlength=len(ALL_TYPES))
 for i in np.argsort(-counts, kind="stable"):
     if counts[i]:
-        print(f"  {ALL_TYPES[i].value}  {counts[i]:4d}  " + "#" * (counts[i] // 5))
+        print(f"  {ALL_TYPES[i]}  {counts[i]:4d}  " + "#" * (counts[i] // 5))

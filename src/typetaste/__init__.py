@@ -9,12 +9,11 @@ from .domain import (
     ALL_TYPES,
     Dataset,
     GenreCatalog,
-    MbtiType,
     SurveyRecord,
     default_catalog,
     load_catalog,
-    parse_mbti,
     save_catalog,
+    type_code,
 )
 from .ingest import SynthConfig, generate_synthetic, load_dataset, save_dataset
 
@@ -24,7 +23,6 @@ __all__ = [
     "ALL_TYPES",
     "Dataset",
     "GenreCatalog",
-    "MbtiType",
     "SurveyRecord",
     "SynthConfig",
     "analysis",
@@ -37,9 +35,9 @@ __all__ = [
     "load_catalog",
     "load_dataset",
     "metrics",
-    "parse_mbti",
     "pca",
     "recommend",
     "save_catalog",
     "save_dataset",
+    "type_code",
 ]

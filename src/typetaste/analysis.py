@@ -13,23 +13,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import ALL_TYPES, RATING_MAX, TYPE_INDEX, Dataset, MbtiType, parse_mbti
+from .domain import ALL_TYPES, RATING_MAX, Dataset, type_code
 from .errors import DimensionMismatch, LengthMismatch
 from .recommend import ProfileSet
 
 N_RATINGS = RATING_MAX + 1
 
-_TYPE_VALUES = np.array([t.value for t in ALL_TYPES])
+_TYPE_VALUES = np.array(ALL_TYPES)
 
 
 def pair_rating_table(
-    dataset: Dataset, mbti: MbtiType | str, genre_a: str, genre_b: str
+    dataset: Dataset, mbti: str, genre_a: str, genre_b: str
 ) -> np.ndarray:
     """7x7 int64 joint rating counts for two genres among one type's
     respondents: ``counts[i, j]`` respondents rated ``genre_a`` as ``i`` and
     ``genre_b`` as ``j``.  A type absent from the dataset yields all zeros.
     """
-    code = TYPE_INDEX[parse_mbti(mbti)]
+    code = type_code(mbti)
     ia = dataset.catalog.index(genre_a)
     ib = dataset.catalog.index(genre_b)
     rows = dataset.ratings[dataset.type_codes == code]
@@ -38,12 +38,12 @@ def pair_rating_table(
 
 
 def pair_table_to_csv(
-    counts: np.ndarray, mbti: MbtiType | str, genre_a: str, genre_b: str
+    counts: np.ndarray, mbti: str, genre_a: str, genre_b: str
 ) -> str:
     """CSV text: metadata comment lines, a ``b=0..b=6`` header, then one row
     per rating of genre_a."""
     buf = io.StringIO()
-    buf.write(f"# type={parse_mbti(mbti).value}\n")
+    buf.write(f"# type={ALL_TYPES[type_code(mbti)]}\n")
     buf.write(f"# genre_a={genre_a}\n")
     buf.write(f"# genre_b={genre_b}\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -53,12 +53,12 @@ def pair_table_to_csv(
 
 
 def inclination(
-    profiles: ProfileSet, mbti: MbtiType | str, genre_a: str, genre_b: str
+    profiles: ProfileSet, mbti: str, genre_a: str, genre_b: str
 ) -> str | None:
     """The genre of the pair with the higher profile mean for the type, that
     is over respondents with experience of it; None when the means are equal
     or either genre has no rater of the type."""
-    means = profiles.mean[TYPE_INDEX[parse_mbti(mbti)]]
+    means = profiles.mean[type_code(mbti)]
     a = means[profiles.catalog.index(genre_a)]
     b = means[profiles.catalog.index(genre_b)]
     if a > b:
@@ -72,7 +72,7 @@ def scatter_to_csv(
     coords: np.ndarray,
     type_codes: np.ndarray,
     assignments: Sequence[int] | None = None,
-    types: Sequence[MbtiType | str] | None = None,
+    types: Sequence[str] | None = None,
 ) -> str:
     """CSV text with ``pc1,pc2[,pc3],mbti,cluster,is_centroid`` columns: one
     row per projected point, labelled with the type of its :data:`TYPE_INDEX`
@@ -102,7 +102,7 @@ def scatter_to_csv(
             for c in np.unique(clusters).tolist()
         ]
     if types is not None:
-        keep = np.isin(codes, [TYPE_INDEX[parse_mbti(t)] for t in types])
+        keep = np.isin(codes, [type_code(t) for t in types])
         Z, codes, clusters = Z[keep], codes[keep], clusters[keep]
     if Z.shape[0] == 0 and not centroids:
         raise LengthMismatch("no scatter rows to serialize")

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from . import analysis, ingest, kmeans, metrics, pca, recommend
 from .domain import ALL_TYPES, Dataset, GenreCatalog, check_seed, default_catalog, load_catalog
-from .domain import parse_mbti, read_utf8
+from .domain import read_utf8, type_code
 from .errors import EmptyTable, Error, InvalidMbtiCode
 
 PROG = "typetaste"
@@ -36,7 +36,7 @@ def _seed_arg(text: str) -> int:
 
 def _mbti_arg(text: str) -> str:
     try:
-        return parse_mbti(text).value
+        return ALL_TYPES[type_code(text)]
     except InvalidMbtiCode as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -131,15 +131,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
     methods = args.method or list(metrics.ALL_METHODS)
-    categories = args.category or None
-    if categories:
-        for name in categories:
-            dataset.catalog.category_slice(name)  # unknown names fail fast
     rows = metrics.run_method_comparison(
         dataset,
         k=args.k,
         methods=methods,
-        categories=categories,
+        categories=args.category,
         seed=args.seed,
         restarts=args.restarts,
     )
@@ -205,13 +201,13 @@ def cmd_freq(args: argparse.Namespace) -> int:
     total = sum(counts)
     if total == 0:
         raise EmptyTable("cannot summarize an empty frequency table")
-    introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t.is_introvert)
-    ranked = sorted(zip(ALL_TYPES, counts), key=lambda tc: (-tc[1], tc[0].value))
+    introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t[0] == "i")
+    ranked = sorted(zip(ALL_TYPES, counts), key=lambda tc: (-tc[1], tc[0]))
     lines = [f"# total={total}"]
     lines.append(f"# introvert_fraction={introverts / total:.6f}")
-    lines.append("# top4=" + ",".join(t.value for t, _ in ranked[:4]))
+    lines.append("# top4=" + ",".join(t for t, _ in ranked[:4]))
     lines.append("mbti,count")
-    lines.extend(f"{t.value},{count}" for t, count in ranked)
+    lines.extend(f"{t},{count}" for t, count in ranked)
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -263,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="CSV")
     p.add_argument("--k", type=_positive_int, default=16)
     p.add_argument("--method", action="append",
-                   choices=[kmeans.INIT_KMEANSPP, kmeans.INIT_RANDOM, kmeans.METHOD_PCA, "pca"],
+                   choices=list(metrics.METHOD_NAMES),
                    help="repeatable; default: all three")
     p.add_argument("--category", action="append", metavar="NAME",
                    help="repeatable; default: all five")

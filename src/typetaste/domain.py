@@ -8,7 +8,6 @@ import csv
 import io
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
@@ -27,57 +26,24 @@ from .errors import (
 )
 
 
-class MbtiType(str, Enum):
-    """One of the 16 four-letter personality codes.
-
-    The canonical form is lowercase; members compare and hash as their
-    lowercase string values, so they can be used directly as dict keys or
-    printed into CSV cells.
-    """
-
-    ENFJ = "enfj"
-    ENFP = "enfp"
-    ENTJ = "entj"
-    ENTP = "entp"
-    ESFJ = "esfj"
-    ESFP = "esfp"
-    ESTJ = "estj"
-    ESTP = "estp"
-    INFJ = "infj"
-    INFP = "infp"
-    INTJ = "intj"
-    INTP = "intp"
-    ISFJ = "isfj"
-    ISFP = "isfp"
-    ISTJ = "istj"
-    ISTP = "istp"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @property
-    def is_introvert(self) -> bool:
-        return self.value[0] == "i"
-
-
-# Members are declared alphabetically, so this is also sorted order.
-ALL_TYPES: tuple[MbtiType, ...] = tuple(MbtiType)
+# The 16 four-letter personality codes, lowercase and in alphabetical order.
+ALL_TYPES: tuple[str, ...] = (
+    "enfj", "enfp", "entj", "entp", "esfj", "esfp", "estj", "estp",
+    "infj", "infp", "intj", "intp", "isfj", "isfp", "istj", "istp",
+)
 
 # The code that stands for each type in a dataset's ``type_codes`` column: its
-# index in ALL_TYPES.  Lowercase code strings look up the same entries.
-TYPE_INDEX: Mapping[MbtiType, int] = {t: i for i, t in enumerate(ALL_TYPES)}
+# index in ALL_TYPES.
+TYPE_INDEX: Mapping[str, int] = {t: i for i, t in enumerate(ALL_TYPES)}
 
 
-def parse_mbti(text: str) -> MbtiType:
-    """Parse a four-letter personality code, case-insensitively."""
-    if isinstance(text, MbtiType):
-        return text
-    if isinstance(text, str):
-        try:
-            return MbtiType(text.lower())
-        except ValueError:
-            pass
-    raise InvalidMbtiCode(f"not a valid personality code: {text!r}")
+def type_code(text: str) -> int:
+    """The :data:`TYPE_INDEX` code of a four-letter personality code, read
+    case-insensitively, or raise :class:`InvalidMbtiCode`."""
+    code = TYPE_INDEX.get(text.lower()) if isinstance(text, str) else None
+    if code is None:
+        raise InvalidMbtiCode(f"not a valid personality code: {text!r}")
+    return code
 
 
 MAX_SEED = 2**64 - 1
@@ -287,19 +253,19 @@ class SurveyRecord:
     """One respondent: id, personality type, and one rating per genre."""
 
     respondent_id: str
-    mbti: MbtiType
+    mbti: str
     ratings: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.respondent_id, str) or not self.respondent_id:
             raise SchemaMismatch("respondent id must be a non-empty string")
-        object.__setattr__(self, "mbti", parse_mbti(self.mbti))
+        object.__setattr__(self, "mbti", ALL_TYPES[type_code(self.mbti)])
         object.__setattr__(
             self, "ratings", tuple(check_rating(r) for r in self.ratings)
         )
 
     @classmethod
-    def _row(cls, respondent_id: str, mbti: MbtiType, ratings: tuple[int, ...]) -> "SurveyRecord":
+    def _row(cls, respondent_id: str, mbti: str, ratings: tuple[int, ...]) -> "SurveyRecord":
         """A record of one dataset row, whose values the dataset has already
         validated, so they are not checked again."""
         record = object.__new__(cls)
@@ -400,15 +366,11 @@ class Dataset:
         )
 
     @cached_property
-    def types(self) -> tuple[MbtiType, ...]:
-        """Per-respondent personality labels, aligned with matrix rows."""
-        return tuple(map(ALL_TYPES.__getitem__, self.type_codes.tolist()))
-
-    @cached_property
     def records(self) -> tuple[SurveyRecord, ...]:
         """One record per row, built from the columns on first use."""
+        types = map(ALL_TYPES.__getitem__, self.type_codes.tolist())
         rows = map(tuple, self.ratings.tolist())
-        return tuple(map(SurveyRecord._row, self.respondent_ids, self.types, rows))
+        return tuple(map(SurveyRecord._row, self.respondent_ids, types, rows))
 
     @cached_property
     def _row_of(self) -> dict[str, int]:
@@ -434,8 +396,8 @@ class Dataset:
             m = m[:, self.catalog.category_slice(category)]
         return m.astype(np.float64)
 
-    def restrict_types(self, types: Iterable[MbtiType | str]) -> "Dataset":
+    def restrict_types(self, types: Iterable[str]) -> "Dataset":
         """Subset with only the given personality types, preserving row order."""
-        keep = np.isin(self.type_codes, [TYPE_INDEX[parse_mbti(t)] for t in types])
+        keep = np.isin(self.type_codes, [type_code(t) for t in types])
         ids = compress(self.respondent_ids, keep.tolist())
         return Dataset.from_columns(self.catalog, ids, self.type_codes[keep], self.ratings[keep])

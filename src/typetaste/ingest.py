@@ -14,7 +14,7 @@ import re
 import zlib
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -28,16 +28,16 @@ from .domain import (
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
-    MbtiType,
     check_seed,
     default_catalog,
-    parse_mbti,
     read_utf8,
     repeated_ids,
+    type_code,
 )
 from .errors import (
     DuplicateRespondent,
     Error,
+    InvalidMbtiCode,
     InvalidRating,
     SchemaMismatch,
 )
@@ -86,11 +86,11 @@ def planted_means(catalog: GenreCatalog) -> np.ndarray:
     means = np.empty((len(ALL_TYPES), len(catalog)), dtype=np.float64)
     for ti, t in enumerate(ALL_TYPES):
         for gi, genre in enumerate(catalog.genres):
-            u = zlib.crc32(f"{t.value}|{genre}".encode("utf-8")) / 2**32
+            u = zlib.crc32(f"{t}|{genre}".encode("utf-8")) / 2**32
             means[ti, gi] = 1.0 + 4.0 * u
     planted_pairs = {PSYCHOLOGY: 5.0, RELIGION_SPIRITUALITY: 2.0}
     for code in TOP_SURVEY_TYPES:
-        ti = ALL_TYPES.index(parse_mbti(code))
+        ti = TYPE_INDEX[code]
         for genre, value in planted_pairs.items():
             if genre in catalog:
                 means[ti, catalog.index(genre)] = value
@@ -109,7 +109,7 @@ class SynthConfig:
     """
 
     seed: int
-    frequencies: Mapping[MbtiType | str, int] | np.ndarray = field(
+    frequencies: Mapping[str, int] | np.ndarray = field(
         default_factory=SURVEY_TYPE_COUNTS.copy
     )
     catalog: GenreCatalog = field(default_factory=default_catalog)
@@ -119,9 +119,9 @@ class SynthConfig:
         given = self.frequencies
         if isinstance(given, np.ndarray):
             given = zip(ALL_TYPES, given.tolist(), strict=True)
-        counts: dict[MbtiType, int] = {}
+        counts: dict[str, int] = {}
         for key, value in dict(given).items():
-            t = parse_mbti(key)
+            t = ALL_TYPES[type_code(key)]
             try:
                 v = operator.index(value)
             except TypeError:
@@ -168,7 +168,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
             continue
         raw = rng.normal(loc=means[ti], scale=1.0, size=(count, width))
         blocks.append(np.clip(np.rint(raw), 0, 6).astype(np.int8))
-        ids.extend(map(f"{t.value}-{{:03d}}".format, range(count)))
+        ids.extend(map(f"{t}-{{:03d}}".format, range(count)))
         codes.extend(repeat(ti, count))
     return Dataset.from_columns(config.catalog, ids, codes, np.concatenate(blocks))
 
@@ -196,7 +196,10 @@ def _read_row(
         )
     if repeated:
         raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
-    mbti = parse_mbti(row[1])
+    try:
+        code = type_code(row[1])
+    except InvalidMbtiCode as exc:
+        raise InvalidMbtiCode(f"line {lineno}, column 'mbti': {exc}") from None
     ratings = []
     for cell, genre in zip(row[2:], catalog.genres):
         if not (cell.isascii() and cell.isdigit()):
@@ -207,7 +210,7 @@ def _read_row(
         if value > RATING_MAX:
             raise InvalidRating(f"line {lineno}, column {genre!r}: rating out of range: {value}")
         ratings.append(value)
-    return TYPE_INDEX[mbti], ratings
+    return code, ratings
 
 
 def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Dataset:
@@ -260,7 +263,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_dataset_header(dataset.catalog))
-    types = map(attrgetter("value"), dataset.types)
+    types = map(ALL_TYPES.__getitem__, dataset.type_codes.tolist())
     writer.writerows(zip(ids, types, *dataset.ratings.T.tolist()))
     return buf.getvalue()
 

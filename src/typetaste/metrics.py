@@ -35,6 +35,7 @@ import numpy as np
 from . import kmeans as km
 from .domain import Dataset
 from .errors import (
+    CatalogError,
     DimensionMismatch,
     EmptyInput,
     Error,
@@ -390,6 +391,10 @@ def evaluate(
 
 ALL_METHODS: tuple[str, ...] = (km.INIT_KMEANSPP, km.INIT_RANDOM, km.METHOD_PCA)
 
+# Every method name a comparison accepts, with the method it stands for:
+# ``pca`` is short for ``pca-based``.
+METHOD_NAMES: Mapping[str, str] = {m: m for m in ALL_METHODS} | {"pca": km.METHOD_PCA}
+
 # The dimension the pca-based method reduces each category to before k-means.
 PCA_DIMS = 2
 
@@ -407,10 +412,10 @@ REPORT_COLUMNS: tuple[str, ...] = (
 
 
 def _method_config(method: str, k: int, seed: int, restarts: int) -> km.KmeansConfig:
-    """The fit a comparison method names; ``pca`` is short for ``pca-based``."""
-    method = km.METHOD_PCA if method == "pca" else method
-    if method not in ALL_METHODS:
+    """The fit a comparison method names, one of :data:`METHOD_NAMES`."""
+    if method not in METHOD_NAMES:
         raise Error(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    method = METHOD_NAMES[method]
     return km.KmeansConfig(
         k=k,
         init=km.INIT_RANDOM if method == km.INIT_RANDOM else km.INIT_KMEANSPP,
@@ -433,10 +438,15 @@ def run_method_comparison(
 
     Every (category, method) cell gets its own child seed spawned from
     ``seed``, so the whole comparison is reproducible.  Rows come back
-    category-major in the requested order.
+    category-major in the requested order.  An unknown or repeated category
+    name raises :class:`CatalogError` before any fit.
     """
     if categories is None:
         categories = dataset.catalog.category_names
+    for i, name in enumerate(categories):
+        dataset.catalog.category_slice(name)  # raises on an unknown name
+        if name in categories[:i]:
+            raise CatalogError(f"repeated category: {name!r}")
     cell_seeds = np.random.SeedSequence(seed).generate_state(
         len(categories) * len(methods), np.uint64
     )

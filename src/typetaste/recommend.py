@@ -22,9 +22,8 @@ from .domain import (
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
-    MbtiType,
     SurveyRecord,
-    parse_mbti,
+    type_code,
 )
 from .errors import EmptyInput, Error
 
@@ -89,7 +88,7 @@ class RecommendationItem:
 class Recommendation:
     """A ranked genre list for one type, with the strategy that produced it."""
 
-    mbti: MbtiType
+    mbti: str
     strategy: str
     items: tuple[RecommendationItem, ...]
 
@@ -119,7 +118,7 @@ def _rank(
 
 def recommend_for_type(
     profiles: ProfileSet,
-    mbti: MbtiType | str,
+    mbti: str,
     category: str | None = None,
     top_n: int = DEFAULT_TOP_N,
 ) -> Recommendation:
@@ -129,15 +128,14 @@ def recommend_for_type(
     genres with fewer than :data:`MIN_SUPPORT` raters are flagged, not
     dropped.  ``category`` restricts candidates to one catalog category.
     """
-    t = parse_mbti(mbti)
-    row = TYPE_INDEX[t]
+    row = type_code(mbti)
     catalog = profiles.catalog
     candidates = range(len(catalog))
     if category is not None:
         candidates = candidates[catalog.category_slice(category)]
     scores = np.nan_to_num(profiles.mean[row], nan=0.0)
     return Recommendation(
-        mbti=t,
+        mbti=ALL_TYPES[row],
         strategy=STRATEGY_TYPE_PROFILE,
         items=_rank(catalog, scores, profiles.support[row], candidates, top_n),
     )
@@ -183,7 +181,7 @@ def recommend_for_user(
 
 def recommendation_to_json(rec: Recommendation) -> str:
     doc = {
-        "mbti": rec.mbti.value,
+        "mbti": rec.mbti,
         "strategy": rec.strategy,
         "items": [asdict(item) for item in rec.items],
     }
@@ -191,7 +189,7 @@ def recommendation_to_json(rec: Recommendation) -> str:
 
 
 def recommendation_to_text(rec: Recommendation) -> str:
-    lines = [f"Top genres for {rec.mbti.value} ({rec.strategy}):"]
+    lines = [f"Top genres for {rec.mbti} ({rec.strategy}):"]
     for rank, item in enumerate(rec.items, start=1):
         flag = "  [low support]" if item.low_support else ""
         lines.append(

@@ -25,8 +25,8 @@ from itertools import permutations, product
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, default_catalog, parse_mbti
-from typetaste.errors import DuplicateRespondent, InvalidRating, SchemaMismatch
+from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, default_catalog
+from typetaste.errors import DuplicateRespondent, InvalidMbtiCode, InvalidRating, SchemaMismatch
 from typetaste.ingest import RESPONDENT_ID_RE
 
 
@@ -271,8 +271,9 @@ def jacobi_eigh_oracle(matrix, sweeps: int = 100, tol: float = 1e-14):
 
 
 def load_dataset_oracle(path, catalog=None):
-    """Row-by-row survey CSV reader: (ids, types, int64 rating matrix), or the
-    first error in the file, checked cell by cell in file order."""
+    """Row-by-row survey CSV reader: (ids, lowercase type codes, int64 rating
+    matrix), or the first error in the file, checked cell by cell in file
+    order."""
     catalog = catalog if catalog is not None else default_catalog()
     expected = ["respondent_id", "mbti", *catalog.genres]
     ids, types, matrix = [], [], []
@@ -298,7 +299,11 @@ def load_dataset_oracle(path, catalog=None):
                 )
             if rid in ids:
                 raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
-            mbti = parse_mbti(row[1])
+            mbti = row[1].lower()
+            if mbti not in ALL_TYPES:
+                raise InvalidMbtiCode(
+                    f"line {lineno}, column 'mbti': not a valid personality code: {row[1]!r}"
+                )
             ratings = []
             for cell, genre in zip(row[2:], catalog.genres):
                 if not (cell.isascii() and cell.isdigit()):
@@ -344,7 +349,7 @@ def pair_table_oracle(records, mbti, ia, ib):
     """7x7 joint counts of two rating columns among one type's records."""
     counts = np.zeros((7, 7), dtype=np.int64)
     for rec in records:
-        if rec.mbti is mbti:
+        if rec.mbti == mbti:
             counts[rec.ratings[ia], rec.ratings[ib]] += 1
     return counts
 

@@ -141,6 +141,20 @@ class TestValidate:
         assert str(bad) in lines[0]
         assert f"byte 0xff at offset {offset}" in lines[0]
 
+    def test_bad_type_cell_names_line_and_column(self, tmp_path, small_csv, capsys):
+        bad = tmp_path / "bad.csv"
+        lines = small_csv.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = "xntp"
+        lines[5] = ",".join(cells)
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["validate", "--input", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "typetaste: error: line 6, column 'mbti': not a valid personality code: 'xntp'\n"
+        )
+
     def test_missing_file(self, capsys):
         assert run(["validate", "--input", "/no/such/file.csv"]) == 1
         capsys.readouterr()
@@ -244,7 +258,16 @@ class TestEvaluate:
         assert run([
             "evaluate", "--input", str(small_csv), "--category", "poetry",
         ]) == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err == "typetaste: error: unknown category: 'poetry'\n"
+
+    def test_repeated_category_is_data_error(self, small_csv, capsys):
+        assert run([
+            "evaluate", "--input", str(small_csv),
+            "--category", "movies", "--category", "movies",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "typetaste: error: repeated category: 'movies'\n"
 
     def test_unknown_method_is_usage_error(self, small_csv, capsys):
         assert run([

@@ -5,15 +5,15 @@ from typetaste.domain import (
     ALL_TYPES,
     CATEGORY_ORDER,
     CATEGORY_SIZES,
+    TYPE_INDEX,
     Dataset,
     GenreCatalog,
-    MbtiType,
     SurveyRecord,
     check_rating,
     default_catalog,
     load_catalog,
-    parse_mbti,
     save_catalog,
+    type_code,
 )
 from typetaste.errors import (
     CatalogError,
@@ -26,13 +26,15 @@ from typetaste.errors import (
 
 
 class TestMbtiType:
+    """The 16 codes of ``ALL_TYPES`` and the one coercion rule, ``type_code``."""
+
     def test_sixteen_unique_types(self):
         assert len(ALL_TYPES) == 16
         assert len(set(ALL_TYPES)) == 16
-        assert [t.value for t in ALL_TYPES] == sorted(t.value for t in ALL_TYPES)
+        assert list(ALL_TYPES) == sorted(ALL_TYPES)
 
     def test_types_cover_all_letter_combinations(self):
-        combos = {tuple(t.value) for t in ALL_TYPES}
+        combos = {tuple(t) for t in ALL_TYPES}
         assert len(combos) == 16
         assert {c[0] for c in combos} == {"i", "e"}
         assert {c[1] for c in combos} == {"n", "s"}
@@ -40,31 +42,23 @@ class TestMbtiType:
         assert {c[3] for c in combos} == {"j", "p"}
 
     def test_str_is_lowercase_code(self):
-        assert str(MbtiType.INTP) == "intp"
-        assert f"{MbtiType.ENFJ}" == "enfj"
-
-    def test_is_introvert(self):
-        assert MbtiType.INTP.is_introvert
-        assert MbtiType.ISFJ.is_introvert
-        assert not MbtiType.ENTP.is_introvert
-        assert sum(t.is_introvert for t in ALL_TYPES) == 8
+        assert all(type(t) is str and t == t.lower() for t in ALL_TYPES)
+        assert ALL_TYPES[TYPE_INDEX["intp"]] == "intp"
 
     @pytest.mark.parametrize("text", ["intp", "INTP", "Intp", "iNtP"])
     def test_parse_case_insensitive(self, text):
-        assert parse_mbti(text) is MbtiType.INTP
+        assert type_code(text) == TYPE_INDEX["intp"]
 
     def test_parse_roundtrips_every_code(self):
-        for t in ALL_TYPES:
-            assert parse_mbti(t.value) is t
-            assert parse_mbti(t.value.upper()) is t
-
-    def test_parse_accepts_member(self):
-        assert parse_mbti(MbtiType.INFJ) is MbtiType.INFJ
+        for i, t in enumerate(ALL_TYPES):
+            assert type_code(t) == TYPE_INDEX[t] == i
+            assert type_code(t.upper()) == i
 
     @pytest.mark.parametrize("text", ["", "int", "intx", "intpp", " intp", "abcd", 4])
     def test_parse_rejects_invalid(self, text):
-        with pytest.raises(InvalidMbtiCode):
-            parse_mbti(text)
+        with pytest.raises(InvalidMbtiCode) as exc:
+            type_code(text)
+        assert str(exc.value) == f"not a valid personality code: {text!r}"
 
 
 class TestRatingScale:
@@ -176,7 +170,7 @@ def _record(rid="r-1", mbti="intp", width=121, fill=3):
 class TestSurveyRecord:
     def test_coerces_mbti_and_ratings(self):
         rec = SurveyRecord("a-1", "INTP", [0, 6, 3])
-        assert rec.mbti is MbtiType.INTP
+        assert rec.mbti == "intp"
         assert rec.ratings == (0, 6, 3)
 
     def test_rejects_out_of_range_rating(self):
@@ -198,8 +192,8 @@ class TestDataset:
         ds = Dataset(cat, (_record("a-1"), _record("b-2", "enfj", fill=5)))
         assert len(ds) == 2
         assert ds.respondent_ids == ("a-1", "b-2")
-        assert ds.types == (MbtiType.INTP, MbtiType.ENFJ)
-        assert ds.record("b-2").mbti is MbtiType.ENFJ
+        assert ds.type_codes.tolist() == [TYPE_INDEX["intp"], TYPE_INDEX["enfj"]]
+        assert ds.record("b-2").mbti == "enfj"
         with pytest.raises(SchemaMismatch):
             ds.record("missing")
 
@@ -248,7 +242,7 @@ class TestDataset:
         cat = default_catalog()
         records = (_record("a-1", "intp", fill=0), _record("b-2", "enfj", fill=6))
         ds = Dataset(cat, records)
-        assert ds.type_codes.tolist() == [ALL_TYPES.index(MbtiType.INTP), 0]
+        assert ds.type_codes.tolist() == [ALL_TYPES.index("intp"), 0]
         assert ds.ratings.dtype == np.int8 and ds.ratings.shape == (2, 121)
         with pytest.raises(ValueError):
             ds.ratings[0, 0] = 1

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import load_dataset_oracle
 from typetaste.cli import run
-from typetaste.domain import ALL_TYPES, TYPE_INDEX, MbtiType, default_catalog
+from typetaste.domain import ALL_TYPES, TYPE_INDEX, default_catalog, type_code
 from typetaste.errors import (
     DuplicateRespondent,
     Error,
@@ -40,7 +40,7 @@ class TestSurveyTypeCounts:
     def test_totals(self):
         counts = SynthConfig(seed=0).frequencies.tolist()
         assert sum(counts) == 1020
-        introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t.is_introvert)
+        introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t[0] == "i")
         assert introverts == 820
 
     def test_reference_counts(self):
@@ -69,14 +69,15 @@ class TestTypeFrequencyTable:
     def test_items_canonical_order(self):
         frequencies = {"istp": 1, "enfj": 2}
         counts = SynthConfig(seed=0, frequencies=frequencies).frequencies
-        assert counts.tolist() == [frequencies.get(t.value, 0) for t in ALL_TYPES]
+        assert counts.tolist() == [frequencies.get(t, 0) for t in ALL_TYPES]
         with pytest.raises(ValueError):
             counts[0] = 1
 
     def test_string_and_enum_keys(self):
-        counts = SynthConfig(seed=0, frequencies={MbtiType.INTP: 3, "ENFJ": 4}).frequencies
-        assert counts[TYPE_INDEX[MbtiType.INTP]] == 3
+        counts = SynthConfig(seed=0, frequencies={"intp": 3, "ENFJ": 4, "iStP": 5}).frequencies
+        assert counts[TYPE_INDEX["intp"]] == 3
         assert counts[TYPE_INDEX["enfj"]] == 4
+        assert counts[TYPE_INDEX["istp"]] == 5
 
     def test_negative_count_rejected(self):
         with pytest.raises(Error, match="^negative count for intp: -1$"):
@@ -121,7 +122,7 @@ class TestPlantedMeans:
         psych = cat.index("Psychology")
         relig = cat.index("Religion & Spirituality")
         for code in ("intp", "intj", "infj", "infp"):
-            row = ALL_TYPES.index(MbtiType(code))
+            row = TYPE_INDEX[code]
             assert means[row, psych] == 5.0
             assert means[row, relig] == 2.0
 
@@ -226,8 +227,30 @@ class TestDatasetCsv:
         cells = lines[1].split(",")
         cells[1] = "intx"
         lines[1] = ",".join(cells)
-        with pytest.raises(InvalidMbtiCode):
+        message = "^line 2, column 'mbti': not a valid personality code: 'intx'$"
+        with pytest.raises(InvalidMbtiCode, match=message):
             load_dataset(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize(
+        "spelling",
+        ["intp", "INTP", "iNtP", " intp", "intp ", "İNTP", "ıntp", "int", "intpp", "",
+         "intp\u200b"],
+    )
+    def test_load_follows_type_code(self, tmp_path, small_dataset, spelling):
+        """A one-row survey loads exactly when ``type_code`` accepts its type
+        cell, and with the code ``type_code`` gives."""
+        lines = self._lines(small_dataset)[:2]
+        cells = lines[1].split(",")
+        cells[1] = spelling
+        lines[1] = ",".join(cells)
+        path = self._write(tmp_path, lines)
+        try:
+            code = type_code(spelling)
+        except InvalidMbtiCode:
+            with pytest.raises(InvalidMbtiCode, match="^line 2, column 'mbti': "):
+                load_dataset(path)
+        else:
+            assert load_dataset(path).type_codes.tolist() == [code]
 
     @pytest.mark.parametrize("bad", ["7", "-1", "3.5", "x", ""])
     def test_load_rejects_bad_rating(self, tmp_path, small_dataset, bad):
@@ -338,7 +361,7 @@ class TestLoaderAgainstOracle:
         ids, types, matrix = load_dataset_oracle(path)
         loaded = load_dataset(path)
         assert loaded.respondent_ids == ids
-        assert loaded.types == types
+        assert tuple(ALL_TYPES[c] for c in loaded.type_codes.tolist()) == types
         assert np.array_equal(loaded.rating_matrix(), matrix)
 
     @pytest.mark.parametrize(
@@ -350,6 +373,7 @@ class TestLoaderAgainstOracle:
             [(5, 2, "+3")],
             [(5, 40, "9" * 30)],
             [(5, 1, "intx")],
+            [(6, 1, "xntp"), (8, 3, "x")],
             [(5, 0, "bad id")],
             [(5, 0, "")],
             [(9, 4, "x"), (9, 3, "7")],

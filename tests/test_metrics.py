@@ -13,6 +13,7 @@ import pytest
 from typetaste import ingest, kmeans, metrics, pca
 from typetaste.domain import ALL_TYPES
 from typetaste.errors import (
+    CatalogError,
     EmptyInput,
     Error,
     LengthMismatch,
@@ -528,7 +529,8 @@ class TestEvaluate:
         X = survey_dataset.feature_matrix("music")
         result = kmeans.fit(X, kmeans.KmeansConfig(k=16, seed=3, restarts=1))
         by_code = evaluate(survey_dataset.type_codes, [result])
-        assert by_code == evaluate(survey_dataset.types, [result])
+        by_name = evaluate([ALL_TYPES[c] for c in survey_dataset.type_codes.tolist()], [result])
+        assert by_code == by_name
 
     def test_equal_spaces_share_one_silhouette_call(self, survey_dataset, monkeypatch):
         X = survey_dataset.feature_matrix("movies")
@@ -619,6 +621,23 @@ class TestMethodComparison:
     def test_unknown_method_rejected(self, small_dataset):
         with pytest.raises(Error):
             run_method_comparison(small_dataset, k=2, methods=("ward",))
+
+    @pytest.mark.parametrize(
+        "categories, message",
+        [
+            (("movies", "poetry"), "unknown category: 'poetry'"),
+            (("movies", "music", "movies"), "repeated category: 'movies'"),
+        ],
+        ids=["unknown", "repeated"],
+    )
+    def test_bad_category_rejected_before_any_fit(
+        self, small_dataset, monkeypatch, categories, message
+    ):
+        fits = []
+        monkeypatch.setattr(kmeans, "fit", lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(CatalogError, match=f"^{message}$"):
+            run_method_comparison(small_dataset, k=2, categories=categories)
+        assert fits == []
 
     def test_csv_layout(self, small_dataset):
         rows = run_method_comparison(

@@ -8,7 +8,6 @@ from typetaste.domain import (
     ALL_TYPES,
     TYPE_INDEX,
     Dataset,
-    MbtiType,
     SurveyRecord,
     default_catalog,
 )
@@ -47,7 +46,7 @@ def profile_dataset():
 
 def _row(profiles, code):
     """One type's (mean, enjoyment share, support) rows of a profile set."""
-    i = TYPE_INDEX[MbtiType(code)]
+    i = TYPE_INDEX[code]
     return profiles.mean[i], profiles.enjoyment_share[i], profiles.support[i]
 
 
@@ -56,7 +55,7 @@ class TestBuildProfiles:
         profiles = build_profiles(survey_dataset.restrict_types(["intp", "estj", "enfj"]))
         expected = profiles_oracle(survey_dataset.records, len(survey_dataset.catalog))
         for t in ("intp", "estj", "enfj"):
-            mean, share, support = expected[MbtiType(t)]
+            mean, share, support = expected[t]
             got_mean, got_share, got_support = _row(profiles, t)
             assert np.array_equal(got_mean, mean, equal_nan=True)
             assert np.array_equal(got_share, share, equal_nan=True)
@@ -245,7 +244,7 @@ class TestAgainstRankingOracle:
         for t in ALL_TYPES:
             for category in (None,) + catalog.category_names:
                 rec = recommend_for_type(profiles, t, category=category, top_n=121)
-                assert rec.mbti is t and rec.strategy == "type-profile"
+                assert rec.mbti == t and rec.strategy == "type-profile"
                 assert self._fields(rec) == ranking_oracle(
                     catalog, expected[t], category=category
                 )
@@ -257,7 +256,7 @@ class TestAgainstRankingOracle:
         for user in survey_dataset.records[::50]:
             for blend in (0.0, 0.5, 1.0):
                 rec = recommend_for_user(profiles, user, top_n=121, blend_weight=blend)
-                assert rec.mbti is user.mbti and rec.strategy == "blended"
+                assert rec.mbti == user.mbti and rec.strategy == "blended"
                 assert self._fields(rec) == ranking_oracle(
                     catalog, expected[user.mbti], ratings=user.ratings, blend_weight=blend
                 )
