@@ -29,7 +29,7 @@ print(f"  {np.round(projected.mean(axis=0), 12)[:4]} ...")
 
 print()
 print("Clustering in the reduced space and exporting a scatter layout...")
-result = kmeans.fit(X, kmeans.KmeansConfig(k=16, reduce_first=2, seed=7, restarts=5))
+result = kmeans.fit(projected[:, :2], kmeans.KmeansConfig(k=16, seed=7, restarts=5))
 text = analysis.scatter_to_csv(projected[:, :2], dataset.type_codes, result.assignments)
 rows = text.count("\n") - 1
 centroids = len(np.unique(result.assignments))

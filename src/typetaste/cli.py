@@ -113,16 +113,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
-    config = kmeans.KmeansConfig(
-        k=args.k,
-        init=args.init,
-        reduce_first=args.pca_dims,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
-    result = kmeans.fit(dataset.feature_matrix(), config)
+    config = kmeans.KmeansConfig(k=args.k, init=args.init, seed=args.seed, restarts=args.restarts)
+    X, method = dataset.feature_matrix(), args.init
+    if args.pca_dims is not None:
+        X, method = pca.project(pca.fit_pca(X, args.pca_dims), X), metrics.METHOD_PCA
+    result = kmeans.fit(X, config)
     if args.format == "json":
-        _emit(kmeans.result_to_json(result), args.output)
+        _emit(kmeans.result_to_json(result, method), args.output)
     else:
         _emit(kmeans.assignments_to_csv(result, dataset.respondent_ids), args.output)
     return 0
@@ -180,15 +177,11 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def cmd_scatter(args: argparse.Namespace) -> int:
     dataset = _load_dataset_arg(args)
     X = dataset.feature_matrix()
+    coords = pca.project(pca.fit_pca(X, args.dims), X)
+    assignments = None
     if args.with_clusters:
-        config = kmeans.KmeansConfig(
-            k=args.k, seed=args.seed, restarts=args.restarts, reduce_first=args.dims
-        )
-        result = kmeans.fit(X, config)
-        coords, assignments = result.space, result.assignments
-    else:
-        coords = pca.project(pca.fit_pca(X, args.dims), X)
-        assignments = None
+        config = kmeans.KmeansConfig(k=args.k, seed=args.seed, restarts=args.restarts)
+        assignments = kmeans.fit(coords, config).assignments
     types = args.types.split(",") if args.types else None
     _emit(analysis.scatter_to_csv(coords, dataset.type_codes, assignments, types), args.output)
     return 0

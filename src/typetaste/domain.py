@@ -57,6 +57,18 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_int(value: object, what: str) -> int:
+    """Return ``value`` as a plain int, or raise :class:`Error` naming
+    ``what`` unless it is an integer; a ``bool`` is not one."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        v = None
+    if v is None or isinstance(value, bool):
+        raise Error(f"{what} must be an integer, got {type(value).__name__}")
+    return v
+
+
 RATING_MIN = 0
 RATING_MAX = 6
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from .domain import (
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
+    check_int,
     check_seed,
     default_catalog,
     read_utf8,
@@ -122,12 +122,7 @@ class SynthConfig:
         counts: dict[str, int] = {}
         for key, value in dict(given).items():
             t = ALL_TYPES[type_code(key)]
-            try:
-                v = operator.index(value)
-            except TypeError:
-                v = None
-            if v is None or isinstance(value, bool):
-                raise Error(f"count for {t} must be an integer, got {type(value).__name__}")
+            v = check_int(value, f"count for {t}")
             if v < 0:
                 raise Error(f"negative count for {t}: {v}")
             if t in counts:

@@ -1,10 +1,10 @@
-"""Lloyd's k-means with three initialization regimes.
+"""Lloyd's k-means with two initialization regimes.
 
-``kmeans++`` seeds by distance-squared-weighted sampling, ``random`` picks k
-distinct rows, and the reduced regime projects the data with PCA first and
-clusters in that space.  Fits restart from several seeds and keep the lowest
-inertia.  All randomness flows through one u64 seed, so identical inputs give
-identical results.
+``kmeans++`` seeds by distance-squared-weighted sampling and ``random`` picks
+k distinct rows.  A fit clusters exactly the rows it is given; a caller that
+wants clusters in a PCA space projects first.  Fits restart from several
+seeds and keep the lowest inertia.  All randomness flows through one u64
+seed, so identical inputs give identical results.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pca
-from .domain import check_seed
+from .domain import check_int, check_seed
 from .errors import DimensionMismatch, Error, TooFewPoints
 
 INIT_KMEANSPP = "kmeans++"
 INIT_RANDOM = "random"
-METHOD_PCA = "pca-based"
 
 DEFAULT_MAX_ITERS = 300
 DEFAULT_TOL = 1e-6
@@ -33,50 +31,41 @@ DEFAULT_RESTARTS = 10
 
 @dataclass(frozen=True)
 class KmeansConfig:
-    """Fit parameters.  ``reduce_first`` switches on the PCA regime with that
-    many dimensions; ``init`` then seeds inside the reduced space."""
+    """Fit parameters.  ``k``, ``max_iters`` and ``restarts`` are integers
+    of at least 1 (a ``bool`` is not one), stored as plain ints."""
 
     k: int
     init: str = INIT_KMEANSPP
-    reduce_first: int | None = None
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
     seed: int = 0
     restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise Error(f"k must be at least 1, got {self.k}")
+        for name in ("k", "max_iters", "restarts"):
+            value = check_int(getattr(self, name), name)
+            if value < 1:
+                raise Error(f"{name} must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
         if self.init not in (INIT_KMEANSPP, INIT_RANDOM):
             raise Error(
                 f"init must be {INIT_KMEANSPP!r} or {INIT_RANDOM!r}, got {self.init!r}"
             )
-        if self.reduce_first is not None and self.reduce_first < 1:
-            raise Error(f"reduce_first must be at least 1, got {self.reduce_first}")
-        if self.max_iters < 1:
-            raise Error(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.tol >= 0:
             raise Error(f"tol must be non-negative, got {self.tol}")
         check_seed(self.seed)
-        if self.restarts < 1:
-            raise Error(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """One fitted clustering: per-row assignments, the centroids they are
-    nearest to, total within-cluster squared distance, and bookkeeping.
-
-    ``space`` holds the rows the fit clustered: the data itself, or its PCA
-    projection for ``pca-based`` fits."""
+    nearest to, total within-cluster squared distance, and bookkeeping."""
 
     assignments: np.ndarray
     centroids: np.ndarray
     inertia: float
     iterations: int
     elapsed: float
-    method: str
-    space: np.ndarray
 
     @property
     def k(self) -> int:
@@ -241,8 +230,6 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
         inertia=inertia,
         iterations=iterations,
         elapsed=time.perf_counter() - start,
-        method=config.init,
-        space=X,
     )
 
 
@@ -253,39 +240,31 @@ def _seed_centroids(X: np.ndarray, config: KmeansConfig, seed: int) -> np.ndarra
 
 
 def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
-    """Cluster ``data`` per ``config``: optional PCA reduction, seeded restarts,
-    keep the lowest-inertia run.
+    """Cluster the rows of ``data`` per ``config``: seeded restarts, keep the
+    lowest-inertia run.
 
     Restart seeds are spawned from ``config.seed``, so the whole fit is a pure
-    function of (data, config).  The result's method tag is the init name, or
-    ``pca-based`` when the fit ran in a reduced space; centroids, inertia and
-    ``space`` then live in that reduced space.
+    function of (data, config).
     """
     X = _as_matrix(data)
     start = time.perf_counter()
-    method = config.init
-    work = X
-    if config.reduce_first is not None:
-        model = pca.fit_pca(X, config.reduce_first)
-        work = pca.project(model, X)
-        method = METHOD_PCA
-    if config.k > work.shape[0]:
-        raise TooFewPoints(f"cannot fit {config.k} clusters to {work.shape[0]} points")
+    if config.k > X.shape[0]:
+        raise TooFewPoints(f"cannot fit {config.k} clusters to {X.shape[0]} points")
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, np.uint64)
     best: ClusteringResult | None = None
     for restart_seed in seeds:
-        centroids = _seed_centroids(work, config, int(restart_seed))
-        result = lloyd(work, centroids, config)
+        centroids = _seed_centroids(X, config, int(restart_seed))
+        result = lloyd(X, centroids, config)
         if best is None or result.inertia < best.inertia:
             best = result
-    return replace(best, elapsed=time.perf_counter() - start, method=method)
+    return replace(best, elapsed=time.perf_counter() - start)
 
 
-def result_to_json(result: ClusteringResult) -> str:
-    """JSON document with method, k, inertia, iterations, elapsed seconds, and
-    the per-row assignment list."""
+def result_to_json(result: ClusteringResult, method: str) -> str:
+    """JSON document with the caller's method name, k, inertia, iterations,
+    elapsed seconds, and the per-row assignment list."""
     doc = {
-        "method": result.method,
+        "method": method,
         "k": result.k,
         "inertia": result.inertia,
         "iterations": result.iterations,

@@ -17,7 +17,7 @@ through one of two exact paths, integer (raw ratings, one product of
 augmented rows per block) or general (any other input), and matches the
 full-matrix sums bit for bit.  It scores an (m, n) stack of labelings of
 the same rows in one distance pass, and :func:`evaluate` stacks the fits
-that clustered equal spaces, so each clustered space's distances are built
+that clustered the same space, so each clustered space's distances are built
 once: a category's ``kmeans++`` and ``random`` fits share theirs.
 """
 
@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kmeans as km
+from . import pca
 from .domain import Dataset
 from .errors import (
     CatalogError,
@@ -351,32 +352,31 @@ class EvaluationReport:
 
 
 def evaluate(
-    labels_true: Sequence, results: Sequence[km.ClusteringResult]
+    labels_true: Sequence, fits: Sequence[tuple[str, np.ndarray, km.ClusteringResult]]
 ) -> list[EvaluationReport]:
-    """Score clustering results of the same rows against true class labels,
-    one report per result, in order.
+    """Score ``(method, space, result)`` fits of the same rows against true
+    class labels, one report per fit, in order.
 
-    The silhouette is geometric, so it is taken in ``result.space``, the
-    space the fit clustered (the reduced space for PCA-based fits).  Results
-    whose spaces are equal share one ``silhouette`` call over their stacked
-    assignments, so that space's distances are built once: a category's
-    ``kmeans++`` and ``random`` fits both cluster its raw ratings, and PCA
-    is deterministic.  Each score equals the one its result gets alone.
+    ``space`` is the matrix the fit clustered: the silhouette is geometric,
+    so it is taken there (the PCA scores for a ``pca-based`` fit).  Fits
+    that pass the same ``space`` object share one ``silhouette`` call over
+    their stacked assignments, so that space's distances are built once.
+    Each score equals the one its result gets alone.
     """
-    scores = np.empty(len(results))
-    unscored = list(range(len(results)))
-    while unscored:
-        space = results[unscored[0]].space
-        group = [i for i in unscored if np.array_equal(results[i].space, space, equal_nan=True)]
-        unscored = [i for i in unscored if i not in group]
-        scores[group] = silhouette(space, np.stack([results[i].assignments for i in group]))
+    groups: dict[int, list[int]] = {}
+    for i, (_, space, _) in enumerate(fits):
+        groups.setdefault(id(space), []).append(i)
+    scores = np.empty(len(fits))
+    for group in groups.values():
+        stack = np.stack([fits[i][2].assignments for i in group])
+        scores[group] = silhouette(fits[group[0]][1], stack)
     reports = []
-    for result, score in zip(results, scores.tolist()):
+    for (method, _, result), score in zip(fits, scores.tolist()):
         table = contingency(labels_true, result.assignments)
         homogeneity, completeness, v_measure = homogeneity_completeness_v(table)
         reports.append(
             EvaluationReport(
-                method=result.method,
+                method=method,
                 elapsed=result.elapsed,
                 homogeneity=homogeneity,
                 completeness=completeness,
@@ -389,11 +389,14 @@ def evaluate(
     return reports
 
 
-ALL_METHODS: tuple[str, ...] = (km.INIT_KMEANSPP, km.INIT_RANDOM, km.METHOD_PCA)
+# k-means with kmeans++ seeding on a category's PCA scores.
+METHOD_PCA = "pca-based"
+
+ALL_METHODS: tuple[str, ...] = (km.INIT_KMEANSPP, km.INIT_RANDOM, METHOD_PCA)
 
 # Every method name a comparison accepts, with the method it stands for:
 # ``pca`` is short for ``pca-based``.
-METHOD_NAMES: Mapping[str, str] = {m: m for m in ALL_METHODS} | {"pca": km.METHOD_PCA}
+METHOD_NAMES: Mapping[str, str] = {m: m for m in ALL_METHODS} | {"pca": METHOD_PCA}
 
 # The dimension the pca-based method reduces each category to before k-means.
 PCA_DIMS = 2
@@ -411,20 +414,6 @@ REPORT_COLUMNS: tuple[str, ...] = (
 )
 
 
-def _method_config(method: str, k: int, seed: int, restarts: int) -> km.KmeansConfig:
-    """The fit a comparison method names, one of :data:`METHOD_NAMES`."""
-    if method not in METHOD_NAMES:
-        raise Error(f"unknown method {method!r}; expected one of {ALL_METHODS}")
-    method = METHOD_NAMES[method]
-    return km.KmeansConfig(
-        k=k,
-        init=km.INIT_RANDOM if method == km.INIT_RANDOM else km.INIT_KMEANSPP,
-        reduce_first=PCA_DIMS if method == km.METHOD_PCA else None,
-        seed=seed,
-        restarts=restarts,
-    )
-
-
 def run_method_comparison(
     dataset: Dataset,
     k: int = 16,
@@ -439,7 +428,10 @@ def run_method_comparison(
     Every (category, method) cell gets its own child seed spawned from
     ``seed``, so the whole comparison is reproducible.  Rows come back
     category-major in the requested order.  An unknown or repeated category
-    name raises :class:`CatalogError` before any fit.
+    name raises :class:`CatalogError`, and an unknown method name or one
+    that stands for a method already named raises :class:`Error`, before
+    any fit.  The ``pca-based`` method fits a :data:`PCA_DIMS`-component PCA
+    to the category when its turn comes, and clusters the scores.
     """
     if categories is None:
         categories = dataset.catalog.category_names
@@ -447,19 +439,30 @@ def run_method_comparison(
         dataset.catalog.category_slice(name)  # raises on an unknown name
         if name in categories[:i]:
             raise CatalogError(f"repeated category: {name!r}")
-    cell_seeds = np.random.SeedSequence(seed).generate_state(
-        len(categories) * len(methods), np.uint64
+    resolved: list[str] = []
+    for name in methods:
+        if name not in METHOD_NAMES:
+            raise Error(f"unknown method {name!r}; expected one of {ALL_METHODS}")
+        if METHOD_NAMES[name] in resolved:
+            raise Error(f"repeated method: {METHOD_NAMES[name]!r}")
+        resolved.append(METHOD_NAMES[name])
+    cell_seeds = iter(
+        np.random.SeedSequence(seed).generate_state(len(categories) * len(resolved), np.uint64)
     )
     rows: list[tuple[str, EvaluationReport]] = []
-    cell = 0
     for category in categories:
         X = dataset.feature_matrix(category)
-        results = []
-        for method in methods:
-            config = _method_config(method, k, int(cell_seeds[cell]), restarts)
-            cell += 1
-            results.append(km.fit(X, config))
-        rows.extend((category, report) for report in evaluate(dataset.type_codes, results))
+        fits = []
+        for method in resolved:
+            config = km.KmeansConfig(
+                k=k,
+                init=km.INIT_RANDOM if method == km.INIT_RANDOM else km.INIT_KMEANSPP,
+                seed=int(next(cell_seeds)),
+                restarts=restarts,
+            )
+            space = pca.project(pca.fit_pca(X, PCA_DIMS), X) if method == METHOD_PCA else X
+            fits.append((method, space, km.fit(space, config)))
+        rows.extend((category, report) for report in evaluate(dataset.type_codes, fits))
     return rows
 
 

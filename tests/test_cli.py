@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from typetaste import ingest
+from typetaste import ingest, kmeans, pca
 from typetaste.cli import run
 from typetaste.domain import default_catalog, save_catalog
 
@@ -268,6 +268,13 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "typetaste: error: repeated category: 'movies'\n"
+        assert run([
+            "evaluate", "--input", str(small_csv),
+            "--method", "pca", "--method", "pca-based",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "typetaste: error: repeated method: 'pca-based'\n"
 
     def test_unknown_method_is_usage_error(self, small_csv, capsys):
         assert run([
@@ -389,6 +396,22 @@ class TestRecommend:
         default = capsys.readouterr().out
         assert run([*base, "--blend", "0.5"]) == 0
         assert capsys.readouterr().out == default
+
+
+class TestPcaClusters:
+    def test_cluster_and_scatter_fit_the_projection(self, tmp_path, small_csv):
+        X = ingest.load_dataset(small_csv).feature_matrix()
+        config = kmeans.KmeansConfig(k=4, seed=3, restarts=2)
+        expected = kmeans.fit(pca.project(pca.fit_pca(X, 2), X), config).assignments.tolist()
+        common = ["--input", str(small_csv), "--k", "4", "--seed", "3", "--restarts", "2"]
+        out = tmp_path / "result.json"
+        assert run(["cluster", *common, "--pca-dims", "2", "--format", "json",
+                    "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["assignments"] == expected
+        out = tmp_path / "scatter.csv"
+        assert run(["scatter", *common, "--with-clusters", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(row[3]) for row in rows if row[4] == "0"] == expected
 
 
 class TestScatter:

@@ -9,7 +9,6 @@ from typetaste.kmeans import (
     DEFAULT_MAX_ITERS,
     INIT_KMEANSPP,
     INIT_RANDOM,
-    METHOD_PCA,
     ClusteringResult,
     KmeansConfig,
     fit,
@@ -49,17 +48,28 @@ class TestConfig:
         [
             {"k": 0},
             {"k": 2, "init": "farthest"},
-            {"k": 2, "reduce_first": 0},
             {"k": 2, "max_iters": 0},
             {"k": 2, "tol": -1.0},
             {"k": 2, "seed": -1},
             {"k": 2, "seed": 2**64},
             {"k": 2, "restarts": 0},
+            {"k": 2.5},
+            {"k": True},
+            {"k": "3"},
+            {"k": 2, "max_iters": 2.5},
+            {"k": 2, "max_iters": True},
+            {"k": 2, "restarts": 2.5},
+            {"k": 2, "restarts": np.float64(3.0)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(Error):
             KmeansConfig(**kwargs)
+
+    def test_integer_like_counts_stored_as_int(self):
+        config = KmeansConfig(k=np.int64(3), max_iters=np.int32(50), restarts=np.uint8(2))
+        assert (config.k, config.max_iters, config.restarts) == (3, 50, 2)
+        assert all(type(v) is int for v in (config.k, config.max_iters, config.restarts))
 
 
 class TestInit:
@@ -269,28 +279,6 @@ class TestFit:
             )
         assert np.mean(smart) <= np.mean(plain)
 
-    def test_reduced_space_fit(self, rng):
-        X = rng.normal(size=(40, 12))
-        result = fit(X, KmeansConfig(k=3, seed=1, reduce_first=2, restarts=2))
-        assert result.method == METHOD_PCA
-        assert result.centroids.shape == (3, 2)
-        assert len(result.assignments) == 40
-
-    def test_space_is_the_clustered_matrix(self, rng):
-        X = rng.normal(size=(40, 12))
-        plain = fit(X, KmeansConfig(k=3, seed=1, restarts=2))
-        assert np.array_equal(plain.space, X)
-        reduced = fit(X, KmeansConfig(k=3, seed=1, reduce_first=2, restarts=2))
-        assert np.array_equal(reduced.space, pca.project(pca.fit_pca(X, 2), X))
-
-    def test_method_tags(self, rng):
-        X = rng.normal(size=(30, 4))
-        assert fit(X, KmeansConfig(k=2, seed=0, restarts=1)).method == INIT_KMEANSPP
-        assert (
-            fit(X, KmeansConfig(k=2, seed=0, restarts=1, init=INIT_RANDOM)).method
-            == INIT_RANDOM
-        )
-
     def test_too_few_points(self, rng):
         with pytest.raises(TooFewPoints):
             fit(rng.normal(size=(3, 2)), KmeansConfig(k=5))
@@ -307,12 +295,12 @@ class TestSerialization:
 
     def test_json_document(self):
         result = self._result()
-        doc = json.loads(kmeans.result_to_json(result))
+        doc = json.loads(kmeans.result_to_json(result, "pca-based"))
         assert set(doc) == {
             "method", "k", "inertia", "iterations", "elapsed_seconds", "assignments",
         }
         assert doc["k"] == 2
-        assert doc["method"] == INIT_KMEANSPP
+        assert doc["method"] == "pca-based"
         assert doc["assignments"] == [int(a) for a in result.assignments]
         assert doc["inertia"] == result.inertia
 

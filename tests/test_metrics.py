@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -500,11 +499,11 @@ class TestEvaluate:
         )
         labels = ["a"] * 10 + ["b"] * 10
         result = kmeans.fit(X, kmeans.KmeansConfig(k=2, seed=1, restarts=2))
-        return labels, result
+        return labels, X, result
 
     def test_separable_data_scores_perfect(self, rng):
-        labels, result = self._fit(rng)
-        [report] = evaluate(labels, [result])
+        labels, X, result = self._fit(rng)
+        [report] = evaluate(labels, [("kmeans++", X, result)])
         assert report.method == "kmeans++"
         assert report.homogeneity == pytest.approx(1.0, abs=1e-12)
         assert report.ari == 1.0
@@ -512,37 +511,39 @@ class TestEvaluate:
         assert report.elapsed == result.elapsed
 
     def test_length_mismatch_rejected(self, rng):
-        labels, result = self._fit(rng)
+        labels, X, result = self._fit(rng)
         with pytest.raises(LengthMismatch):
-            evaluate(labels[:-1], [result])
+            evaluate(labels[:-1], [("kmeans++", X, result)])
 
     def test_space_with_nan_is_scored(self, rng):
-        labels, result = self._fit(rng)
-        space = result.space.copy()
+        labels, X, result = self._fit(rng)
+        space = X.copy()
         space[0, 0] = np.nan
-        nan_result = dataclasses.replace(result, space=space)
-        reports = evaluate(labels, [nan_result, nan_result, result])
+        nan_fit = ("kmeans++", space, result)
+        reports = evaluate(labels, [nan_fit, nan_fit, ("kmeans++", X, result)])
         assert reports[0] == reports[1]
         assert reports[0].silhouette == silhouette(space, result.assignments)
+        assert reports[2].silhouette == silhouette(X, result.assignments)
 
     def test_type_codes_score_like_types(self, survey_dataset):
         X = survey_dataset.feature_matrix("music")
-        result = kmeans.fit(X, kmeans.KmeansConfig(k=16, seed=3, restarts=1))
-        by_code = evaluate(survey_dataset.type_codes, [result])
-        by_name = evaluate([ALL_TYPES[c] for c in survey_dataset.type_codes.tolist()], [result])
+        fit = ("kmeans++", X, kmeans.fit(X, kmeans.KmeansConfig(k=16, seed=3, restarts=1)))
+        by_code = evaluate(survey_dataset.type_codes, [fit])
+        by_name = evaluate([ALL_TYPES[c] for c in survey_dataset.type_codes.tolist()], [fit])
         assert by_code == by_name
 
-    def test_equal_spaces_share_one_silhouette_call(self, survey_dataset, monkeypatch):
+    def test_same_space_shares_one_silhouette_call(self, survey_dataset, monkeypatch):
         X = survey_dataset.feature_matrix("movies")
-        configs = [
-            kmeans.KmeansConfig(k=16, seed=1, restarts=1),
-            kmeans.KmeansConfig(k=16, init="random", seed=2, restarts=1),
-            kmeans.KmeansConfig(k=16, reduce_first=2, seed=3, restarts=1),
-            kmeans.KmeansConfig(k=2, seed=4, restarts=1),
-            kmeans.KmeansConfig(k=16, reduce_first=2, seed=3, restarts=1),
+        P = pca.project(pca.fit_pca(X, 2), X)
+        cells = [
+            ("kmeans++", X, kmeans.KmeansConfig(k=16, seed=1, restarts=1)),
+            ("random", X, kmeans.KmeansConfig(k=16, init="random", seed=2, restarts=1)),
+            ("pca-based", P, kmeans.KmeansConfig(k=16, seed=3, restarts=1)),
+            ("kmeans++", X, kmeans.KmeansConfig(k=2, seed=4, restarts=1)),
+            ("pca-based", P, kmeans.KmeansConfig(k=16, seed=5, restarts=1)),
         ]
-        results = [kmeans.fit(X, config) for config in configs]
-        alone = [silhouette(r.space, r.assignments) for r in results]
+        fits = [(method, space, kmeans.fit(space, config)) for method, space, config in cells]
+        alone = [silhouette(space, result.assignments) for _, space, result in fits]
         calls = []
         real_silhouette = metrics.silhouette
 
@@ -551,10 +552,27 @@ class TestEvaluate:
             return real_silhouette(data, assignments)
 
         monkeypatch.setattr(metrics, "silhouette", counting_silhouette)
-        reports = evaluate(survey_dataset.type_codes, results)
+        reports = evaluate(survey_dataset.type_codes, fits)
         assert calls == [(3, X.shape[0]), (2, X.shape[0])]
         assert [r.silhouette for r in reports] == alone
-        assert [r.method for r in reports] == [r.method for r in results]
+        assert [r.method for r in reports] == [method for method, _, _ in cells]
+
+    def test_equal_but_distinct_spaces_scored_apart(self, survey_dataset, monkeypatch):
+        X = survey_dataset.feature_matrix("music")
+        result = kmeans.fit(X, kmeans.KmeansConfig(k=16, seed=1, restarts=1))
+        calls = []
+        real_silhouette = metrics.silhouette
+
+        def counting_silhouette(data, assignments):
+            calls.append(np.shape(assignments))
+            return real_silhouette(data, assignments)
+
+        monkeypatch.setattr(metrics, "silhouette", counting_silhouette)
+        reports = evaluate(
+            survey_dataset.type_codes, [("kmeans++", X, result), ("kmeans++", X.copy(), result)]
+        )
+        assert calls == [(1, X.shape[0]), (1, X.shape[0])]
+        assert reports[0] == reports[1]
 
 
 class TestMethodComparison:
@@ -597,26 +615,31 @@ class TestMethodComparison:
         assert len(fits) == 2  # one per pca-based cell
 
     def test_silhouettes_equal_lone_calls(self, survey_dataset, monkeypatch):
-        results = []
+        fits = []
         real_fit = kmeans.fit
 
-        def recording_fit(*args, **kwargs):
-            results.append(real_fit(*args, **kwargs))
-            return results[-1]
+        def recording_fit(data, config):
+            fits.append((data, real_fit(data, config)))
+            return fits[-1][1]
 
         monkeypatch.setattr(kmeans, "fit", recording_fit)
         rows = run_method_comparison(
             survey_dataset,
             k=16,
-            methods=("kmeans++", "random", "kmeans++", "pca", "pca-based"),
+            methods=("kmeans++", "random", "pca"),
             categories=("movies", "music"),
             seed=8,
             restarts=1,
         )
-        assert len(rows) == len(results) == 10
-        for (_, report), result in zip(rows, results):
-            assert report.method == result.method
-            assert report.silhouette == silhouette(result.space, result.assignments)
+        assert len(rows) == len(fits) == 6
+        assert [r.method for _, r in rows] == ["kmeans++", "random", "pca-based"] * 2
+        for (category, report), (data, result) in zip(rows, fits):
+            X = survey_dataset.feature_matrix(category)
+            if report.method == "pca-based":
+                assert np.array_equal(data, pca.project(pca.fit_pca(X, 2), X))
+            else:
+                assert np.array_equal(data, X)
+            assert report.silhouette == silhouette(data, result.assignments)
 
     def test_unknown_method_rejected(self, small_dataset):
         with pytest.raises(Error):
@@ -637,6 +660,25 @@ class TestMethodComparison:
         monkeypatch.setattr(kmeans, "fit", lambda *args, **kwargs: fits.append(args))
         with pytest.raises(CatalogError, match=f"^{message}$"):
             run_method_comparison(small_dataset, k=2, categories=categories)
+        assert fits == []
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [
+            (("kmeans++", "ward"), r"unknown method 'ward'; expected one of \("),
+            (("pca", "random", "pca-based"), r"repeated method: 'pca-based'$"),
+            (("kmeans++", "kmeans++"), r"repeated method: 'kmeans\+\+'$"),
+        ],
+        ids=["unknown", "alias-repeated", "repeated"],
+    )
+    def test_bad_method_rejected_before_any_fit(
+        self, small_dataset, monkeypatch, methods, message
+    ):
+        fits = []
+        monkeypatch.setattr(kmeans, "fit", lambda *args, **kwargs: fits.append(args))
+        monkeypatch.setattr(pca, "fit_pca", lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(Error, match=f"^{message}"):
+            run_method_comparison(small_dataset, k=2, methods=methods)
         assert fits == []
 
     def test_csv_layout(self, small_dataset):
