@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import ALL_TYPES, RATING_MAX, Dataset, type_code
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import Error
 from .recommend import ProfileSet
 
 N_RATINGS = RATING_MAX + 1
@@ -80,23 +80,24 @@ def scatter_to_csv(
 
     With ``assignments`` given, each point row carries its cluster and one
     centroid row per cluster follows, placed at the mean of the cluster's
-    projected points (the projection is affine, so this is the projected
-    centroid).  ``types``, when given, keeps only the point rows of those
-    types; centroid rows are always written.
+    points in ``coords``.  ``scatter --with-clusters`` fits its clusters to
+    these coordinates, so each such row is a centroid in the space the
+    clusters were fitted in.  ``types``, when given, keeps only the point
+    rows of those types; centroid rows are always written.
     """
     Z = np.asarray(coords, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] not in (2, 3):
-        raise DimensionMismatch(f"coordinates must be (n, 2) or (n, 3), got {Z.shape}")
+        raise Error(f"coordinates must be (n, 2) or (n, 3), got {Z.shape}")
     codes = np.asarray(type_codes)
     if codes.shape != (Z.shape[0],):
-        raise LengthMismatch(f"{codes.size} type labels for {Z.shape[0]} points")
+        raise Error(f"{codes.size} type labels for {Z.shape[0]} points")
     if assignments is None:
         clusters = np.full(Z.shape[0], "")
         centroids = []
     else:
         clusters = np.asarray(assignments, dtype=np.int64)
         if clusters.shape != (Z.shape[0],):
-            raise LengthMismatch(f"{clusters.size} assignments for {Z.shape[0]} points")
+            raise Error(f"{clusters.size} assignments for {Z.shape[0]} points")
         centroids = [
             [*map(repr, Z[clusters == c].mean(axis=0).tolist()), "", c, 1]
             for c in np.unique(clusters).tolist()
@@ -105,7 +106,7 @@ def scatter_to_csv(
         keep = np.isin(codes, [type_code(t) for t in types])
         Z, codes, clusters = Z[keep], codes[keep], clusters[keep]
     if Z.shape[0] == 0 and not centroids:
-        raise LengthMismatch("no scatter rows to serialize")
+        raise Error("no scatter rows to serialize")
     mbti = _TYPE_VALUES[codes].tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

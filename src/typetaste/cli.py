@@ -18,7 +18,7 @@ from . import __version__
 from . import analysis, ingest, kmeans, metrics, pca, recommend
 from .domain import ALL_TYPES, Dataset, GenreCatalog, check_seed, default_catalog, load_catalog
 from .domain import read_utf8, type_code
-from .errors import EmptyTable, Error, InvalidMbtiCode
+from .errors import Error
 
 PROG = "typetaste"
 
@@ -37,7 +37,7 @@ def _seed_arg(text: str) -> int:
 def _mbti_arg(text: str) -> str:
     try:
         return ALL_TYPES[type_code(text)]
-    except InvalidMbtiCode as exc:
+    except Error as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -193,7 +193,7 @@ def cmd_freq(args: argparse.Namespace) -> int:
     counts = _type_counts(_load_dataset_arg(args)).tolist()
     total = sum(counts)
     if total == 0:
-        raise EmptyTable("cannot summarize an empty frequency table")
+        raise Error("cannot summarize an empty frequency table")
     introverts = sum(c for t, c in zip(ALL_TYPES, counts) if t[0] == "i")
     ranked = sorted(zip(ALL_TYPES, counts), key=lambda tc: (-tc[1], tc[0]))
     lines = [f"# total={total}"]

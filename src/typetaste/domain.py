@@ -15,15 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CatalogError,
-    DuplicateRespondent,
-    InvalidMbtiCode,
-    InvalidRating,
-    Error,
-    SchemaMismatch,
-    UnknownGenre,
-)
+from .errors import Error
 
 
 # The 16 four-letter personality codes, lowercase and in alphabetical order.
@@ -39,22 +31,14 @@ TYPE_INDEX: Mapping[str, int] = {t: i for i, t in enumerate(ALL_TYPES)}
 
 def type_code(text: str) -> int:
     """The :data:`TYPE_INDEX` code of a four-letter personality code, read
-    case-insensitively, or raise :class:`InvalidMbtiCode`."""
+    case-insensitively; any other value raises :class:`Error`."""
     code = TYPE_INDEX.get(text.lower()) if isinstance(text, str) else None
     if code is None:
-        raise InvalidMbtiCode(f"not a valid personality code: {text!r}")
+        raise Error(f"not a valid personality code: {text!r}")
     return code
 
 
 MAX_SEED = 2**64 - 1
-
-
-def check_seed(seed: int) -> int:
-    """Return ``seed`` as an int, or raise :class:`Error` unless it is an
-    unsigned 64-bit integer."""
-    if not 0 <= int(seed) <= MAX_SEED:
-        raise Error(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return int(seed)
 
 
 def check_int(value: object, what: str) -> int:
@@ -69,6 +53,15 @@ def check_int(value: object, what: str) -> int:
     return v
 
 
+def check_seed(seed: int) -> int:
+    """Return ``seed`` as a plain int, or raise :class:`Error` unless it is
+    an unsigned 64-bit integer; a ``bool`` is not one."""
+    v = check_int(seed, "seed")
+    if not 0 <= v <= MAX_SEED:
+        raise Error(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return v
+
+
 RATING_MIN = 0
 RATING_MAX = 6
 
@@ -78,13 +71,14 @@ ENJOYMENT_THRESHOLD = 4
 
 
 def check_rating(value: int) -> int:
-    """Return ``value`` as a plain int, or raise :class:`InvalidRating`."""
+    """Return ``value`` as a plain int if it is an integer on the 0..6
+    scale; anything else raises :class:`Error`."""
     try:
         v = operator.index(value)
     except TypeError:
-        raise InvalidRating(f"rating must be an integer, got {value!r}") from None
+        raise Error(f"rating must be an integer, got {value!r}") from None
     if not RATING_MIN <= v <= RATING_MAX:
-        raise InvalidRating(f"rating must be in {RATING_MIN}..{RATING_MAX}, got {v}")
+        raise Error(f"rating must be in {RATING_MIN}..{RATING_MAX}, got {v}")
     return v
 
 
@@ -118,12 +112,10 @@ class GenreCatalog:
     def __post_init__(self) -> None:
         names = tuple(name for name, _ in self.categories)
         if names != CATEGORY_ORDER:
-            raise CatalogError(
-                f"categories must be exactly {CATEGORY_ORDER} in order, got {names}"
-            )
+            raise Error(f"categories must be exactly {CATEGORY_ORDER} in order, got {names}")
         for name, genres in self.categories:
             if len(genres) != CATEGORY_SIZES[name]:
-                raise CatalogError(
+                raise Error(
                     f"category {name!r} must have {CATEGORY_SIZES[name]} genres, "
                     f"got {len(genres)}"
                 )
@@ -131,9 +123,9 @@ class GenreCatalog:
         if len(set(flat)) != len(flat):
             seen: set[str] = set()
             dupes = sorted({g for g in flat if g in seen or seen.add(g)})
-            raise CatalogError(f"duplicate genre names: {dupes}")
+            raise Error(f"duplicate genre names: {dupes}")
         if any(not g for g in flat):
-            raise CatalogError("genre names must be non-empty")
+            raise Error("genre names must be non-empty")
 
     @cached_property
     def genres(self) -> tuple[str, ...]:
@@ -169,18 +161,20 @@ class GenreCatalog:
         return CATEGORY_ORDER
 
     def index(self, genre: str) -> int:
-        """Column index of ``genre``, or raise :class:`UnknownGenre`."""
+        """Column index of ``genre``; a name not in the catalog raises
+        :class:`Error`."""
         try:
             return self._index[genre]
         except KeyError:
-            raise UnknownGenre(f"genre not in catalog: {genre!r}") from None
+            raise Error(f"genre not in catalog: {genre!r}") from None
 
     def category_slice(self, category: str) -> slice:
-        """Column slice covering one category, or raise :class:`CatalogError`."""
+        """Column slice covering one category; a name that is not one of
+        the five categories raises :class:`Error`."""
         try:
             return self._category_slices[category]
         except KeyError:
-            raise CatalogError(f"unknown category: {category!r}") from None
+            raise Error(f"unknown category: {category!r}") from None
 
     def genres_in(self, category: str) -> tuple[str, ...]:
         return self.genres[self.category_slice(category)]
@@ -226,33 +220,45 @@ def save_catalog(catalog: GenreCatalog, path: str | Path) -> None:
 def read_utf8(path: str | Path) -> str:
     """The text of the file at ``path``, read once and decoded as UTF-8.
 
-    Bytes that are not UTF-8 raise :class:`SchemaMismatch` naming the file,
-    the first such byte and its offset in the file.
+    Bytes that are not UTF-8 raise :class:`Error` naming the file, the
+    first such byte and its offset in the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaMismatch(
+        raise Error(
             f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         ) from None
 
 
+def read_csv_rows(path: str | Path) -> list[list[str]]:
+    """The rows of the CSV file at ``path``, read with :func:`read_utf8`.
+
+    Text the csv module cannot parse, such as a field longer than
+    ``csv.field_size_limit()``, raises :class:`Error` naming the file and
+    the reader's line.
+    """
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise Error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_catalog(path: str | Path) -> GenreCatalog:
     """Read a ``category,genre`` CSV written by :func:`save_catalog`."""
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    header = next(reader, None)
+    rows = read_csv_rows(path)
+    header = rows[0] if rows else None
     if header != list(CATALOG_HEADER):
-        raise SchemaMismatch(
-            f"catalog header must be {','.join(CATALOG_HEADER)!r}, got {header}"
-        )
+        raise Error(f"catalog header must be {','.join(CATALOG_HEADER)!r}, got {header}")
     groups: list[tuple[str, list[str]]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
-            raise SchemaMismatch(f"catalog line {lineno}: expected 2 columns")
+            raise Error(f"catalog line {lineno}: expected 2 columns")
         name, genre = row
         if not groups or groups[-1][0] != name:
             groups.append((name, []))
@@ -270,7 +276,7 @@ class SurveyRecord:
 
     def __post_init__(self) -> None:
         if not isinstance(self.respondent_id, str) or not self.respondent_id:
-            raise SchemaMismatch("respondent id must be a non-empty string")
+            raise Error("respondent id must be a non-empty string")
         object.__setattr__(self, "mbti", ALL_TYPES[type_code(self.mbti)])
         object.__setattr__(
             self, "ratings", tuple(check_rating(r) for r in self.ratings)
@@ -316,7 +322,7 @@ class Dataset:
         misfits = np.fromiter(map(len, rows), np.intp, len(rows)) != len(catalog)
         if misfits.any():
             rec = records[misfits.argmax()]
-            raise SchemaMismatch(
+            raise Error(
                 f"record {rec.respondent_id!r} has {len(rec.ratings)} ratings, "
                 f"catalog has {len(catalog)} genres"
             )
@@ -344,21 +350,21 @@ class Dataset:
         codes = np.asarray(type_codes)
         matrix = np.asarray(ratings)
         if set(map(type, ids)) - {str} or "" in ids:
-            raise SchemaMismatch("respondent id must be a non-empty string")
+            raise Error("respondent id must be a non-empty string")
         if codes.shape != (len(ids),) or not np.isin(codes, range(len(ALL_TYPES))).all():
-            raise SchemaMismatch(f"type codes must be {len(ids)} indices into ALL_TYPES")
+            raise Error(f"type codes must be {len(ids)} indices into ALL_TYPES")
         if matrix.shape != (len(ids), len(catalog)):
-            raise SchemaMismatch(
+            raise Error(
                 f"rating matrix has shape {matrix.shape}, expected ({len(ids)}, {len(catalog)})"
             )
         if matrix.size and matrix.dtype.kind not in "iu":
-            raise InvalidRating(f"ratings must be integers, got dtype {matrix.dtype}")
+            raise Error(f"ratings must be integers, got dtype {matrix.dtype}")
         outside = (matrix < RATING_MIN) | (matrix > RATING_MAX)
         if outside.any():
-            raise InvalidRating(f"rating must be in 0..6, got {matrix[outside][0]}")
+            raise Error(f"rating must be in 0..6, got {matrix[outside][0]}")
         repeats = repeated_ids(ids)
         if repeats.any():
-            raise DuplicateRespondent(f"duplicate respondent id: {ids[repeats.argmax()]!r}")
+            raise Error(f"duplicate respondent id: {ids[repeats.argmax()]!r}")
         codes = codes.astype(np.int8)
         matrix = matrix.astype(np.int8)
         codes.flags.writeable = matrix.flags.writeable = False
@@ -392,7 +398,7 @@ class Dataset:
         try:
             row = self._row_of[respondent_id]
         except KeyError:
-            raise SchemaMismatch(f"no such respondent: {respondent_id!r}") from None
+            raise Error(f"no such respondent: {respondent_id!r}") from None
         return SurveyRecord._row(
             respondent_id, ALL_TYPES[self.type_codes[row]], tuple(self.ratings[row].tolist())
         )

@@ -30,17 +30,11 @@ from .domain import (
     check_int,
     check_seed,
     default_catalog,
-    read_utf8,
+    read_csv_rows,
     repeated_ids,
     type_code,
 )
-from .errors import (
-    DuplicateRespondent,
-    Error,
-    InvalidMbtiCode,
-    InvalidRating,
-    SchemaMismatch,
-)
+from .errors import Error
 
 # Respondent ids must be filename- and URL-safe so downstream CSV never needs
 # quoting in the id column.
@@ -183,27 +177,25 @@ def _read_row(
     cell; ``repeated`` tells whether an earlier row has the same id."""
     expected = len(catalog) + 2
     if len(row) != expected:
-        raise SchemaMismatch(f"line {lineno}: expected {expected} columns, got {len(row)}")
+        raise Error(f"line {lineno}: expected {expected} columns, got {len(row)}")
     rid = row[0]
     if not RESPONDENT_ID_RE.match(rid):
-        raise SchemaMismatch(
-            f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
-        )
+        raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
     if repeated:
-        raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
+        raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
     try:
         code = type_code(row[1])
-    except InvalidMbtiCode as exc:
-        raise InvalidMbtiCode(f"line {lineno}, column 'mbti': {exc}") from None
+    except Error as exc:
+        raise Error(f"line {lineno}, column 'mbti': {exc}") from None
     ratings = []
     for cell, genre in zip(row[2:], catalog.genres):
         if not (cell.isascii() and cell.isdigit()):
-            raise InvalidRating(
+            raise Error(
                 f"line {lineno}, column {genre!r}: ratings must be integers 0..6, got {cell!r}"
             )
         value = int(cell)
         if value > RATING_MAX:
-            raise InvalidRating(f"line {lineno}, column {genre!r}: rating out of range: {value}")
+            raise Error(f"line {lineno}, column {genre!r}: rating out of range: {value}")
         ratings.append(value)
     return code, ratings
 
@@ -218,10 +210,10 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
     """
     catalog = catalog if catalog is not None else default_catalog()
     expected = _dataset_header(catalog)
-    body = list(csv.reader(io.StringIO(read_utf8(path), newline="")))
+    body = read_csv_rows(path)
     header = body[0] if body else None
     if header != expected:
-        raise SchemaMismatch(
+        raise Error(
             f"header does not match catalog ({len(expected)} columns expected); "
             f"got {header[:4] if header else header}..."
         )
@@ -254,7 +246,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
     ids = dataset.respondent_ids
     id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.match, ids)), bool, len(ids))
     if not id_ok.all():
-        raise SchemaMismatch(f"respondent id not serializable: {ids[id_ok.argmin()]!r}")
+        raise Error(f"respondent id not serializable: {ids[id_ok.argmin()]!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_dataset_header(dataset.catalog))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import check_int, check_seed
-from .errors import DimensionMismatch, Error, TooFewPoints
+from .errors import Error
 
 INIT_KMEANSPP = "kmeans++"
 INIT_RANDOM = "random"
@@ -32,7 +32,8 @@ DEFAULT_RESTARTS = 10
 @dataclass(frozen=True)
 class KmeansConfig:
     """Fit parameters.  ``k``, ``max_iters`` and ``restarts`` are integers
-    of at least 1 (a ``bool`` is not one), stored as plain ints."""
+    of at least 1 and ``seed`` an unsigned 64-bit integer (a ``bool`` is
+    none of these), all stored as plain ints."""
 
     k: int
     init: str = INIT_KMEANSPP
@@ -48,12 +49,10 @@ class KmeansConfig:
                 raise Error(f"{name} must be at least 1, got {value}")
             object.__setattr__(self, name, value)
         if self.init not in (INIT_KMEANSPP, INIT_RANDOM):
-            raise Error(
-                f"init must be {INIT_KMEANSPP!r} or {INIT_RANDOM!r}, got {self.init!r}"
-            )
+            raise Error(f"init must be {INIT_KMEANSPP!r} or {INIT_RANDOM!r}, got {self.init!r}")
         if not self.tol >= 0:
             raise Error(f"tol must be non-negative, got {self.tol}")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +74,7 @@ class ClusteringResult:
 def _as_matrix(data: np.ndarray) -> np.ndarray:
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
-        raise DimensionMismatch(f"data must be 2-D, got shape {X.shape}")
+        raise Error(f"data must be 2-D, got shape {X.shape}")
     return X
 
 
@@ -106,7 +105,7 @@ def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     X = _as_matrix(data)
     n = X.shape[0]
     if k > n:
-        raise TooFewPoints(f"cannot seed {k} centroids from {n} points")
+        raise Error(f"cannot seed {k} centroids from {n} points")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
@@ -127,7 +126,7 @@ def init_random(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     X = _as_matrix(data)
     n = X.shape[0]
     if k > n:
-        raise TooFewPoints(f"cannot seed {k} centroids from {n} points")
+        raise Error(f"cannot seed {k} centroids from {n} points")
     rng = np.random.default_rng(seed)
     idx = rng.choice(n, size=k, replace=False)
     return X[idx].copy()
@@ -201,9 +200,7 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
     start = time.perf_counter()
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     if centroids.ndim != 2 or centroids.shape[1] != X.shape[1]:
-        raise DimensionMismatch(
-            f"centroids of shape {centroids.shape} do not match data {X.shape}"
-        )
+        raise Error(f"centroids of shape {centroids.shape} do not match data {X.shape}")
     k = centroids.shape[0]
     row_norms = (X * X).sum(axis=1)
     rows = np.arange(X.shape[0])
@@ -249,7 +246,7 @@ def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
     X = _as_matrix(data)
     start = time.perf_counter()
     if config.k > X.shape[0]:
-        raise TooFewPoints(f"cannot fit {config.k} clusters to {X.shape[0]} points")
+        raise Error(f"cannot fit {config.k} clusters to {X.shape[0]} points")
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, np.uint64)
     best: ClusteringResult | None = None
     for restart_seed in seeds:
@@ -277,9 +274,7 @@ def result_to_json(result: ClusteringResult, method: str) -> str:
 def assignments_to_csv(result: ClusteringResult, respondent_ids: Sequence[str]) -> str:
     """CSV text pairing each respondent id with its cluster index."""
     if len(respondent_ids) != len(result.assignments):
-        raise DimensionMismatch(
-            f"{len(respondent_ids)} ids for {len(result.assignments)} assignments"
-        )
+        raise Error(f"{len(respondent_ids)} ids for {len(result.assignments)} assignments")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["respondent_id", "cluster"])

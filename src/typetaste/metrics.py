@@ -35,15 +35,7 @@ import numpy as np
 from . import kmeans as km
 from . import pca
 from .domain import Dataset
-from .errors import (
-    CatalogError,
-    DimensionMismatch,
-    EmptyInput,
-    Error,
-    LengthMismatch,
-    SingleClusterOnly,
-    TooFewSamples,
-)
+from .errors import Error
 
 
 def _first_appearance_codes(labels: Sequence) -> tuple[np.ndarray, int]:
@@ -60,11 +52,9 @@ def contingency(labels_true: Sequence, labels_pred: Sequence) -> np.ndarray:
     rows index true classes, columns index clusters, both in order of first
     appearance in the label sequences."""
     if len(labels_true) != len(labels_pred):
-        raise LengthMismatch(
-            f"label sequences differ in length: {len(labels_true)} vs {len(labels_pred)}"
-        )
+        raise Error(f"label sequences differ in length: {len(labels_true)} vs {len(labels_pred)}")
     if len(labels_true) == 0:
-        raise EmptyInput("cannot build a contingency table from zero labels")
+        raise Error("cannot build a contingency table from zero labels")
     rows, n_rows = _first_appearance_codes(labels_true)
     cols, n_cols = _first_appearance_codes(labels_pred)
     cells = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
@@ -116,7 +106,7 @@ def adjusted_rand(table: np.ndarray) -> float:
     """
     n = int(table.sum())
     if n < 2:
-        raise TooFewSamples(f"adjusted Rand needs at least 2 samples, got {n}")
+        raise Error(f"adjusted Rand needs at least 2 samples, got {n}")
     index = sum(math.comb(x, 2) for x in table.ravel().tolist())
     sum_a = sum(math.comb(x, 2) for x in table.sum(axis=1).tolist())
     sum_b = sum(math.comb(x, 2) for x in table.sum(axis=0).tolist())
@@ -179,7 +169,7 @@ def adjusted_mutual_information(table: np.ndarray) -> float:
     """
     n = int(table.sum())
     if n < 2:
-        raise TooFewSamples(f"adjusted MI needs at least 2 samples, got {n}")
+        raise Error(f"adjusted MI needs at least 2 samples, got {n}")
     h_classes = _entropy(table.sum(axis=1))
     h_clusters = _entropy(table.sum(axis=0))
     if h_classes == 0.0 and h_clusters == 0.0:
@@ -298,20 +288,20 @@ def silhouette_samples(data: np.ndarray, assignments: Sequence) -> np.ndarray:
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
-        raise DimensionMismatch(f"data must be 2-D, got shape {X.shape}")
+        raise Error(f"data must be 2-D, got shape {X.shape}")
     n = X.shape[0]
     labels = np.asarray(assignments)
     if labels.ndim not in (1, 2) or labels.shape[-1] != n:
         count = labels.shape[-1] if labels.ndim else 0
-        raise LengthMismatch(f"{count} assignments for {n} points")
+        raise Error(f"{count} assignments for {n} points")
     stack = np.atleast_2d(labels)
     if stack.shape[0] == 0:
-        raise EmptyInput("silhouette needs at least one labeling")
+        raise Error("silhouette needs at least one labeling")
     memberships = []
     for row in stack:
         unique = np.unique(row)
         if unique.size < 2:
-            raise SingleClusterOnly("silhouette needs at least 2 distinct clusters")
+            raise Error("silhouette needs at least 2 distinct clusters")
         memberships.append(row[:, None] == unique[None, :])
     values = np.empty(stack.shape)
     for out, members, cluster_sums in zip(values, memberships, _distance_sums(X, memberships)):
@@ -428,17 +418,17 @@ def run_method_comparison(
     Every (category, method) cell gets its own child seed spawned from
     ``seed``, so the whole comparison is reproducible.  Rows come back
     category-major in the requested order.  An unknown or repeated category
-    name raises :class:`CatalogError`, and an unknown method name or one
-    that stands for a method already named raises :class:`Error`, before
-    any fit.  The ``pca-based`` method fits a :data:`PCA_DIMS`-component PCA
-    to the category when its turn comes, and clusters the scores.
+    name, an unknown method name, or one that stands for a method already
+    named raises :class:`Error` before any fit.  The ``pca-based`` method
+    fits a :data:`PCA_DIMS`-component PCA to the category when its turn
+    comes, and clusters the scores.
     """
     if categories is None:
         categories = dataset.catalog.category_names
     for i, name in enumerate(categories):
         dataset.catalog.category_slice(name)  # raises on an unknown name
         if name in categories[:i]:
-            raise CatalogError(f"repeated category: {name!r}")
+            raise Error(f"repeated category: {name!r}")
     resolved: list[str] = []
     for name in methods:
         if name not in METHOD_NAMES:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
+from .errors import Error
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,13 +40,13 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2:
-        raise DegenerateInput(f"data must be 2-D, got shape {X.shape}")
+        raise Error(f"data must be 2-D, got shape {X.shape}")
     n, d = X.shape
     if n < 2:
-        raise DegenerateInput(f"need at least 2 samples to fit, got {n}")
+        raise Error(f"need at least 2 samples to fit, got {n}")
     k = int(n_components)
     if not 1 <= k <= min(n, d):
-        raise DegenerateInput(
+        raise Error(
             f"n_components must be in 1..min(n_samples, n_features)="
             f"{min(n, d)}, got {k}"
         )
@@ -69,7 +69,5 @@ def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Map the rows of ``data`` into the fitted component space."""
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"expected (n, {model.n_features}) data, got shape {np.shape(data)}"
-        )
+        raise Error(f"expected (n, {model.n_features}) data, got shape {np.shape(data)}")
     return (X - model.mean) @ model.components.T

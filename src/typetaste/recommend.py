@@ -25,7 +25,7 @@ from .domain import (
     SurveyRecord,
     type_code,
 )
-from .errors import EmptyInput, Error
+from .errors import Error
 
 DISLIKE_MAX = 2
 # Genres with fewer raters than this are flagged ``low_support``, not dropped.
@@ -57,11 +57,11 @@ def build_profiles(dataset: Dataset) -> ProfileSet:
     """Aggregate every type's ratings into a :class:`ProfileSet`.
 
     Types with no respondents get all-NaN means and zero support, which the
-    recommenders treat as "no evidence" rather than an error; a dataset with
-    no respondents at all raises :class:`EmptyInput`.
+    recommenders treat as "no evidence" rather than an error.  A dataset
+    with no respondents at all raises :class:`Error`.
     """
     if len(dataset) == 0:
-        raise EmptyInput("dataset has no respondents")
+        raise Error("dataset has no respondents")
     ratings = dataset.ratings
     # Per-type column sums as products with the (types, rows) membership
     # matrix; they add small integers, so they are exact in float64.
@@ -158,9 +158,7 @@ def recommend_for_user(
         raise Error(f"blend weight must be within 0..1, got {blend_weight}")
     catalog = profiles.catalog
     if len(user.ratings) != len(catalog):
-        raise Error(
-            f"user has {len(user.ratings)} ratings, catalog has {len(catalog)} genres"
-        )
+        raise Error(f"user has {len(user.ratings)} ratings, catalog has {len(catalog)} genres")
     row = TYPE_INDEX[user.mbti]
     mean = profiles.mean[row]
     ratings = np.asarray(user.ratings, dtype=np.float64)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, default_catalog
-from typetaste.errors import DuplicateRespondent, InvalidMbtiCode, InvalidRating, SchemaMismatch
+from typetaste.errors import Error
 from typetaste.ingest import RESPONDENT_ID_RE
 
 
@@ -281,7 +281,7 @@ def load_dataset_oracle(path, catalog=None):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
-            raise SchemaMismatch(
+            raise Error(
                 f"header does not match catalog ({len(expected)} columns expected); "
                 f"got {header[:4] if header else header}..."
             )
@@ -289,33 +289,27 @@ def load_dataset_oracle(path, catalog=None):
             if not row:
                 continue
             if len(row) != len(expected):
-                raise SchemaMismatch(
-                    f"line {lineno}: expected {len(expected)} columns, got {len(row)}"
-                )
+                raise Error(f"line {lineno}: expected {len(expected)} columns, got {len(row)}")
             rid = row[0]
             if not RESPONDENT_ID_RE.match(rid):
-                raise SchemaMismatch(
-                    f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
-                )
+                raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
             if rid in ids:
-                raise DuplicateRespondent(f"line {lineno}: duplicate respondent id {rid!r}")
+                raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
             mbti = row[1].lower()
             if mbti not in ALL_TYPES:
-                raise InvalidMbtiCode(
+                raise Error(
                     f"line {lineno}, column 'mbti': not a valid personality code: {row[1]!r}"
                 )
             ratings = []
             for cell, genre in zip(row[2:], catalog.genres):
                 if not (cell.isascii() and cell.isdigit()):
-                    raise InvalidRating(
+                    raise Error(
                         f"line {lineno}, column {genre!r}: ratings must be "
                         f"integers 0..6, got {cell!r}"
                     )
                 value = int(cell)
                 if value > 6:
-                    raise InvalidRating(
-                        f"line {lineno}, column {genre!r}: rating out of range: {value}"
-                    )
+                    raise Error(f"line {lineno}, column {genre!r}: rating out of range: {value}")
                 ratings.append(value)
             ids.append(rid)
             types.append(mbti)

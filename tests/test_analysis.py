@@ -17,12 +17,7 @@ from typetaste.domain import (
     SurveyRecord,
     default_catalog,
 )
-from typetaste.errors import (
-    DimensionMismatch,
-    InvalidMbtiCode,
-    LengthMismatch,
-    UnknownGenre,
-)
+from typetaste.errors import Error
 
 RATINGS = np.arange(1, 7)
 
@@ -105,11 +100,11 @@ class TestPairRatingTable:
         assert table.sum() == 0
 
     def test_unknown_genre_rejected(self, pair_dataset):
-        with pytest.raises(UnknownGenre):
+        with pytest.raises(Error, match="^genre not in catalog: 'Alchemy'$"):
             pair_rating_table(pair_dataset, "intp", "Psychology", "Alchemy")
 
     def test_unknown_type_rejected(self, pair_dataset):
-        with pytest.raises(InvalidMbtiCode):
+        with pytest.raises(Error, match="^not a valid personality code: 'wxyz'$"):
             pair_rating_table(pair_dataset, "wxyz", "Psychology", "Religion & Spirituality")
 
     def test_csv_layout(self, pair_dataset):
@@ -171,7 +166,7 @@ class TestInclination:
         assert inclination(profiles, "esfj", "Psychology", "Religion & Spirituality") is None
         # Every intp rated both music genres 3: equal means.
         assert inclination(profiles, "intp", "music_00", "music_01") is None
-        with pytest.raises(UnknownGenre):
+        with pytest.raises(Error, match="^genre not in catalog: 'Alchemy'$"):
             inclination(profiles, "intp", "Psychology", "Alchemy")
 
 
@@ -209,26 +204,27 @@ class TestScatterExport:
             ("enfj", "0", "0"), ("enfj", "1", "0"), ("", "0", "1"), ("", "1", "1"),
         ]
         assert [float(v) for v in rows[2][:2]] == Z[[0, 1]].mean(axis=0).tolist()
-        with pytest.raises(InvalidMbtiCode):
+        with pytest.raises(Error, match="^not a valid personality code: 'xxxx'$"):
             scatter_to_csv(Z, codes, types=["xxxx"])
 
     def test_nothing_to_write_rejected(self, rng):
         Z = rng.normal(size=(3, 2))
-        with pytest.raises(LengthMismatch, match="no scatter rows"):
+        with pytest.raises(Error, match="^no scatter rows to serialize$"):
             scatter_to_csv(Z, np.full(3, self.INTP), types=["esfj"])
-        with pytest.raises(LengthMismatch, match="no scatter rows"):
+        with pytest.raises(Error, match="^no scatter rows to serialize$"):
             scatter_to_csv(np.empty((0, 2)), np.empty(0, dtype=np.int8))
 
     def test_wrong_width_rejected(self, rng):
-        with pytest.raises(DimensionMismatch):
+        message = r"^coordinates must be \(n, 2\) or \(n, 3\), got "
+        with pytest.raises(Error, match=message + r"\(4, 4\)$"):
             scatter_to_csv(rng.normal(size=(4, 4)), np.full(4, self.INTP))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(Error, match=message + r"\(4,\)$"):
             scatter_to_csv(rng.normal(size=4), np.full(4, self.INTP))
 
     def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(Error, match="^3 type labels for 4 points$"):
             scatter_to_csv(rng.normal(size=(4, 2)), np.full(3, self.INTP))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(Error, match="^2 assignments for 4 points$"):
             scatter_to_csv(rng.normal(size=(4, 2)), np.full(4, self.INTP), [0, 1])
 
     def test_csv_layout_2d(self, rng):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -140,6 +141,32 @@ class TestValidate:
         assert lines[0].startswith("typetaste: error:")
         assert str(bad) in lines[0]
         assert f"byte 0xff at offset {offset}" in lines[0]
+
+    @pytest.mark.parametrize("case", ["survey", "catalog"])
+    def test_oversized_field_is_data_error(self, tmp_path, small_csv, capsys, case):
+        """A cell longer than ``csv.field_size_limit()`` is reported with
+        its file and line, not as a csv module traceback."""
+        bad = tmp_path / "huge.csv"
+        limit = csv.field_size_limit()
+        if case == "survey":
+            lines = small_csv.read_text().splitlines()
+            cells = lines[2].split(",")
+            cells[5] = "3" * (limit + 1)
+            lines[2] = ",".join(cells)
+            bad.write_text("\n".join(lines) + "\n")
+            argv, lineno = ["validate", "--input", str(bad)], 3
+        else:
+            save_catalog(default_catalog(), bad)
+            text = bad.read_text()
+            lineno = text[:text.index("music_07")].count("\n") + 1
+            bad.write_text(text.replace("music_07", "x" * (limit + 1)))
+            argv = ["validate", "--input", str(small_csv), "--catalog", str(bad)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"typetaste: error: {bad}: line {lineno}: field larger than field limit ({limit})\n"
+        )
 
     def test_bad_type_cell_names_line_and_column(self, tmp_path, small_csv, capsys):
         bad = tmp_path / "bad.csv"

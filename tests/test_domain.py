@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,7 @@ from typetaste.domain import (
     save_catalog,
     type_code,
 )
-from typetaste.errors import (
-    CatalogError,
-    DuplicateRespondent,
-    InvalidMbtiCode,
-    InvalidRating,
-    SchemaMismatch,
-    UnknownGenre,
-)
+from typetaste.errors import Error
 
 
 class TestMbtiType:
@@ -56,7 +51,7 @@ class TestMbtiType:
 
     @pytest.mark.parametrize("text", ["", "int", "intx", "intpp", " intp", "abcd", 4])
     def test_parse_rejects_invalid(self, text):
-        with pytest.raises(InvalidMbtiCode) as exc:
+        with pytest.raises(Error) as exc:
             type_code(text)
         assert str(exc.value) == f"not a valid personality code: {text!r}"
 
@@ -66,9 +61,18 @@ class TestRatingScale:
         assert check_rating(np.int64(5)) == 5
         assert type(check_rating(np.int8(0))) is int
 
-    @pytest.mark.parametrize("value", [-1, 7, 100, 3.5, "3", None])
+    INVALID = {
+        -1: r"rating must be in 0\.\.6, got -1",
+        7: r"rating must be in 0\.\.6, got 7",
+        100: r"rating must be in 0\.\.6, got 100",
+        3.5: r"rating must be an integer, got 3\.5",
+        "3": r"rating must be an integer, got '3'",
+        None: r"rating must be an integer, got None",
+    }
+
+    @pytest.mark.parametrize("value", list(INVALID))
     def test_invalid_ratings_rejected(self, value):
-        with pytest.raises(InvalidRating):
+        with pytest.raises(Error, match=f"^{self.INVALID[value]}$"):
             check_rating(value)
 
 
@@ -109,17 +113,18 @@ class TestGenreCatalog:
 
     def test_unknown_genre_raises(self):
         cat = default_catalog()
-        with pytest.raises(UnknownGenre):
+        with pytest.raises(Error, match="^genre not in catalog: 'No Such Genre'$"):
             cat.index("No Such Genre")
 
     def test_unknown_category_raises(self):
-        with pytest.raises(CatalogError):
+        with pytest.raises(Error, match="^unknown category: 'poetry'$"):
             default_catalog().category_slice("poetry")
 
     def test_wrong_category_order_rejected(self):
         cat = default_catalog()
         backwards = tuple(reversed(cat.categories))
-        with pytest.raises(CatalogError):
+        message = f"^categories must be exactly {re.escape(str(CATEGORY_ORDER))} in order, got "
+        with pytest.raises(Error, match=message + re.escape(str(CATEGORY_ORDER[::-1])) + "$"):
             GenreCatalog(backwards)
 
     def test_wrong_category_size_rejected(self):
@@ -127,7 +132,7 @@ class TestGenreCatalog:
         broken = list(cat.categories)
         name, genres = broken[2]
         broken[2] = (name, genres[:-1])
-        with pytest.raises(CatalogError):
+        with pytest.raises(Error, match="^category 'music' must have 25 genres, got 24$"):
             GenreCatalog(tuple(broken))
 
     def test_duplicate_genres_rejected(self):
@@ -135,7 +140,7 @@ class TestGenreCatalog:
         broken = list(cat.categories)
         name, genres = broken[0]
         broken[0] = (name, ("Psychology",) + genres[1:])
-        with pytest.raises(CatalogError):
+        with pytest.raises(Error, match=r"^duplicate genre names: \['Psychology'\]$"):
             GenreCatalog(tuple(broken))
 
     def test_csv_roundtrip(self, tmp_path):
@@ -159,7 +164,8 @@ class TestGenreCatalog:
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "catalog.csv"
         path.write_text("genre,category\nx,y\n")
-        with pytest.raises(SchemaMismatch):
+        message = r"^catalog header must be 'category,genre', got \['genre', 'category'\]$"
+        with pytest.raises(Error, match=message):
             load_catalog(path)
 
 
@@ -174,15 +180,15 @@ class TestSurveyRecord:
         assert rec.ratings == (0, 6, 3)
 
     def test_rejects_out_of_range_rating(self):
-        with pytest.raises(InvalidRating):
+        with pytest.raises(Error, match=r"^rating must be in 0\.\.6, got 7$"):
             SurveyRecord("a-1", "intp", (0, 7))
 
     def test_rejects_bad_type(self):
-        with pytest.raises(InvalidMbtiCode):
+        with pytest.raises(Error, match="^not a valid personality code: 'nope'$"):
             SurveyRecord("a-1", "nope", (0,))
 
     def test_rejects_empty_id(self):
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(Error, match="^respondent id must be a non-empty string$"):
             SurveyRecord("", "intp", (0,))
 
 
@@ -194,17 +200,18 @@ class TestDataset:
         assert ds.respondent_ids == ("a-1", "b-2")
         assert ds.type_codes.tolist() == [TYPE_INDEX["intp"], TYPE_INDEX["enfj"]]
         assert ds.record("b-2").mbti == "enfj"
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(Error, match="^no such respondent: 'missing'$"):
             ds.record("missing")
 
     def test_duplicate_ids_rejected(self):
         cat = default_catalog()
-        with pytest.raises(DuplicateRespondent):
+        with pytest.raises(Error, match="^duplicate respondent id: 'a-1'$"):
             Dataset(cat, (_record("a-1"), _record("a-1")))
 
     def test_wrong_width_rejected(self):
         cat = default_catalog()
-        with pytest.raises(SchemaMismatch):
+        message = "^record 'r-1' has 120 ratings, catalog has 121 genres$"
+        with pytest.raises(Error, match=message):
             Dataset(cat, (_record(width=120),))
 
     def test_rating_matrix_values_and_isolation(self):
@@ -253,17 +260,25 @@ class TestDataset:
         assert Dataset(cat, rebuilt.records) == ds
 
     @pytest.mark.parametrize(
-        "ids, codes, ratings, error",
+        "ids, codes, ratings, message",
         [
-            (("a", "b"), (0, 1), np.full((2, 120), 3), SchemaMismatch),
-            (("a", "b"), (0, 1), np.full((121, 2), 3), SchemaMismatch),
-            (("a", "b"), (0, 16), np.full((2, 121), 3), SchemaMismatch),
-            (("a", ""), (0, 1), np.full((2, 121), 3), SchemaMismatch),
-            (("a", "b"), (0, 1), np.full((2, 121), 7), InvalidRating),
-            (("a", "b"), (0, 1), np.full((2, 121), 2.5), InvalidRating),
-            (("a", "a"), (0, 1), np.full((2, 121), 3), DuplicateRespondent),
+            (("a", "b"), (0, 1), np.full((2, 120), 3),
+             r"rating matrix has shape \(2, 120\), expected \(2, 121\)"),
+            (("a", "b"), (0, 1), np.full((121, 2), 3),
+             r"rating matrix has shape \(121, 2\), expected \(2, 121\)"),
+            (("a", "b"), (0, 16), np.full((2, 121), 3),
+             r"type codes must be 2 indices into ALL_TYPES"),
+            (("a", ""), (0, 1), np.full((2, 121), 3), r"respondent id must be a non-empty string"),
+            (("a", "b"), (0, 1), np.full((2, 121), 7), r"rating must be in 0\.\.6, got 7"),
+            (("a", "b"), (0, 1), np.full((2, 121), 2.5),
+             r"ratings must be integers, got dtype float64"),
+            (("a", "a"), (0, 1), np.full((2, 121), 3), r"duplicate respondent id: 'a'"),
+        ],
+        ids=[
+            "too-few-columns", "transposed", "unknown-type-code", "empty-id",
+            "rating-out-of-range", "float-ratings", "duplicate-id",
         ],
     )
-    def test_from_columns_validates(self, ids, codes, ratings, error):
-        with pytest.raises(error):
+    def test_from_columns_validates(self, ids, codes, ratings, message):
+        with pytest.raises(Error, match=f"^{message}$"):
             Dataset.from_columns(default_catalog(), ids, codes, ratings)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from typetaste import kmeans, pca
-from typetaste.errors import DimensionMismatch, Error, TooFewPoints
+from typetaste.errors import Error
 from typetaste.kmeans import (
     DEFAULT_MAX_ITERS,
     INIT_KMEANSPP,
@@ -60,6 +60,9 @@ class TestConfig:
             {"k": 2, "max_iters": True},
             {"k": 2, "restarts": 2.5},
             {"k": 2, "restarts": np.float64(3.0)},
+            {"k": 2, "seed": 2.5},
+            {"k": 2, "seed": True},
+            {"k": 2, "seed": "3"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -67,9 +70,12 @@ class TestConfig:
             KmeansConfig(**kwargs)
 
     def test_integer_like_counts_stored_as_int(self):
-        config = KmeansConfig(k=np.int64(3), max_iters=np.int32(50), restarts=np.uint8(2))
-        assert (config.k, config.max_iters, config.restarts) == (3, 50, 2)
-        assert all(type(v) is int for v in (config.k, config.max_iters, config.restarts))
+        config = KmeansConfig(
+            k=np.int64(3), max_iters=np.int32(50), restarts=np.uint8(2), seed=np.uint64(2**64 - 1)
+        )
+        values = (config.k, config.max_iters, config.restarts, config.seed)
+        assert values == (3, 50, 2, 2**64 - 1)
+        assert all(type(v) is int for v in values)
 
 
 class TestInit:
@@ -121,9 +127,9 @@ class TestInit:
 
     def test_too_few_points(self, rng):
         X = rng.normal(size=(3, 2))
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(Error, match="^cannot seed 4 centroids from 3 points$"):
             init_kmeanspp(X, 4, seed=0)
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(Error, match="^cannot seed 4 centroids from 3 points$"):
             init_random(X, 4, seed=0)
 
 
@@ -189,7 +195,8 @@ class TestLloyd:
 
     def test_dimension_mismatch(self, rng):
         X = rng.normal(size=(10, 3))
-        with pytest.raises(DimensionMismatch):
+        message = r"^centroids of shape \(2, 4\) do not match data \(10, 3\)$"
+        with pytest.raises(Error, match=message):
             lloyd(X, np.zeros((2, 4)), KmeansConfig(k=2))
 
     def test_tol_zero_stops_at_fixed_point(self, survey_dataset):
@@ -280,7 +287,7 @@ class TestFit:
         assert np.mean(smart) <= np.mean(plain)
 
     def test_too_few_points(self, rng):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(Error, match="^cannot fit 5 clusters to 3 points$"):
             fit(rng.normal(size=(3, 2)), KmeansConfig(k=5))
 
     def test_elapsed_positive(self, rng):
@@ -313,7 +320,7 @@ class TestSerialization:
         assert lines[1].startswith("a-1,")
 
     def test_assignments_csv_length_check(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(Error, match="^1 ids for 4 assignments$"):
             kmeans.assignments_to_csv(self._result(), ["only-one"])
 
     def test_result_k_property(self):

@@ -11,7 +11,7 @@ from typetaste.domain import (
     SurveyRecord,
     default_catalog,
 )
-from typetaste.errors import CatalogError, EmptyInput, Error, InvalidMbtiCode
+from typetaste.errors import Error
 from typetaste.recommend import (
     MIN_SUPPORT,
     build_profiles,
@@ -65,7 +65,7 @@ class TestBuildProfiles:
         assert np.isnan(mean).all()
 
     def test_no_respondents_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(Error, match="^dataset has no respondents$"):
             build_profiles(Dataset(default_catalog(), ()))
 
     def test_covers_all_types(self, profile_dataset):
@@ -156,12 +156,12 @@ class TestRecommendForType:
 
     def test_unknown_category_rejected(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
-        with pytest.raises(CatalogError):
+        with pytest.raises(Error, match="^unknown category: 'poetry'$"):
             recommend_for_type(profiles, "intp", category="poetry")
 
     def test_unknown_type_rejected(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
-        with pytest.raises(InvalidMbtiCode):
+        with pytest.raises(Error, match="^not a valid personality code: 'wxyz'$"):
             recommend_for_type(profiles, "wxyz")
 
     def test_top_n_clamps(self, profile_dataset):
