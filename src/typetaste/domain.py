@@ -233,23 +233,29 @@ def read_utf8(path: str | Path) -> str:
         ) from None
 
 
-def read_csv_rows(path: str | Path) -> list[list[str]]:
-    """The rows of the CSV file at ``path``, read with :func:`read_utf8`.
+def read_csv_rows(text: str, name: str | Path) -> tuple[list[list[str]], str | None]:
+    """The rows the csv module reads from ``text``, and the message of the
+    error that stopped it, if any (None when it reads the whole text).
 
     Text the csv module cannot parse, such as a field longer than
-    ``csv.field_size_limit()``, raises :class:`Error` naming the file and
-    the reader's line.
+    ``csv.field_size_limit()``, stops it; the message names ``name`` and the
+    reader's line, and the rows are those read before that line.
     """
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows: list[list[str]] = []
     try:
-        return list(reader)
+        for row in reader:
+            rows.append(row)
     except csv.Error as exc:
-        raise Error(f"{path}: line {reader.line_num}: {exc}") from None
+        return rows, f"{name}: line {reader.line_num}: {exc}"
+    return rows, None
 
 
 def load_catalog(path: str | Path) -> GenreCatalog:
     """Read a ``category,genre`` CSV written by :func:`save_catalog`."""
-    rows = read_csv_rows(path)
+    rows, error = read_csv_rows(read_utf8(path), path)
+    if error is not None:
+        raise Error(error)
     header = rows[0] if rows else None
     if header != list(CATALOG_HEADER):
         raise Error(f"catalog header must be {','.join(CATALOG_HEADER)!r}, got {header}")

@@ -2,7 +2,10 @@
 
 The dataset wire format is a strict CSV: header ``respondent_id,mbti`` followed
 by one column per catalog genre, UTF-8, integer cells 0..6.  Files are written
-with LF line endings and read with LF or CRLF.
+with LF line endings and read with LF or CRLF.  A file with no quote, no lone
+CR, no NUL and no line past ``csv.field_size_limit()``, as every file written
+here is, is read in bulk without the csv module; both routes give the same
+dataset and the same first error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import io
 import re
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Mapping
@@ -31,6 +34,7 @@ from .domain import (
     check_seed,
     default_catalog,
     read_csv_rows,
+    read_utf8,
     repeated_ids,
     type_code,
 )
@@ -166,8 +170,22 @@ def _dataset_header(catalog: GenreCatalog) -> list[str]:
     return ["respondent_id", "mbti", *catalog.genres]
 
 
-_SINGLE_DIGIT = {str(v): v for v in range(RATING_MAX + 1)}
-_RATING_CELLS = itemgetter(slice(2, None))
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text``, split at ``"\n"`` alone as the csv module
+    splits them (not by ``str.splitlines``), if it reads each one as exactly
+    ``line.split(",")``: no quote, no CR outside a CRLF ending, no NUL (which
+    it refuses before Python 3.11) and no line past
+    ``csv.field_size_limit()``.  None otherwise."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
 
 
 def _read_row(
@@ -207,37 +225,69 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
     The header must match the catalog's genre columns exactly and in order;
     the first malformed row in the file raises with its line number.  Blank
     lines are skipped.
+
+    A file with no quote, no CR outside a CRLF ending, no NUL and no line
+    past ``csv.field_size_limit()``, such as any :func:`dataset_to_csv`
+    output with LF or CRLF endings, is read without the csv module: the
+    ratings of all lines are checked as one byte array, and only the lines
+    that fail go to the row rule.  Any other file is parsed by the csv
+    module, and text it cannot parse raises after the rows before it are
+    checked.  Both routes give the same dataset and the same first error.
     """
     catalog = catalog if catalog is not None else default_catalog()
     expected = _dataset_header(catalog)
-    body = read_csv_rows(path)
-    header = body[0] if body else None
+    text = read_utf8(path)
+    rows, error = None, None
+    lines = _plain_lines(text)
+    if lines is None:
+        rows, error = read_csv_rows(text, path)
+        # A row passes the check below only if its cells are exactly the
+        # comma-split of its line: one of the wrong length becomes ",", and
+        # a blank row stays blank.
+        lines = [",".join(row) if len(row) == len(expected) else "," if row else "" for row in rows]
+    del text  # in bulk, the lines are the one copy of the file kept
+
+    def cells(i: int) -> list[str]:
+        """The cells of line ``i`` as the csv module reads them."""
+        if rows is not None:
+            return rows[i]
+        return lines[i].split(",") if lines[i] else []
+
+    header = cells(0) if lines else None
     if header != expected:
+        if error is not None and not lines:
+            raise Error(error)
         raise Error(
             f"header does not match catalog ({len(expected)} columns expected); "
             f"got {header[:4] if header else header}..."
         )
-    lines = np.flatnonzero(np.fromiter(map(len, body), np.intp, len(body)))[1:] + 1
-    rows = list(filter(None, body))[1:]
-    # Rows up to the first one of the wrong length are checked in bulk.
-    misfits = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != len(expected))
-    n = int(misfits[0]) if misfits.size else len(rows)
-    ids = list(map(itemgetter(0), rows[:n]))
-    types = map(str.lower, map(itemgetter(1), rows[:n]))
+    numbers = [i for i, line in enumerate(lines) if line][1:]
+    data = list(map(lines.__getitem__, numbers))
+    n, width = len(data), 2 * len(catalog)
+    heads = [line[:-width].split(",") for line in data]
+    # A row fits when its head is "id,type" and its last 2 * n_genres
+    # characters are "," and a digit 0..6, n_genres times.
+    tails = "".join([line[-width:].rjust(width) for line in data]).encode("ascii", "replace")
+    pairs = np.frombuffer(tails, np.uint8).reshape(n, len(catalog), 2)
+    ratings = pairs[:, :, 1] - ord("0")
+    fits = (pairs[:, :, 0] == ord(",")).all(axis=1) & (ratings <= RATING_MAX).all(axis=1)
+    fits &= np.fromiter(map(len, heads), np.intp, n) == 2
+    ids = list(map(itemgetter(0), heads))
+    # The head of a row that does not fit need not start with the row's first
+    # cell, which the duplicate check below needs.
+    for i in np.flatnonzero(~fits).tolist():
+        ids[i] = cells(numbers[i])[0]
+    types = map(str.lower, map(itemgetter(-1), heads))
     codes = np.fromiter(map(TYPE_INDEX.get, types, repeat(-1)), np.int8, n)
-    # -1 marks each cell that is not one of "0".."6", to be read by the row rule.
-    cells = chain.from_iterable(map(_RATING_CELLS, rows[:n]))
-    ratings = np.fromiter(map(_SINGLE_DIGIT.get, cells, repeat(-1)), np.int8, n * len(catalog))
-    ratings = ratings.reshape(n, len(catalog))
     repeated = repeated_ids(ids)
     id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.match, ids)), bool, n)
-    suspects = ~id_ok | repeated | (codes < 0) | (ratings < 0).any(axis=1)
     # The row rule raises the first error in file order, or reads a row whose
     # odd cells are valid (such as "06").
-    for i in np.flatnonzero(suspects).tolist():
-        codes[i], ratings[i] = _read_row(int(lines[i]), rows[i], catalog, bool(repeated[i]))
-    if misfits.size:
-        _read_row(int(lines[n]), rows[n], catalog, False)  # raises: wrong length
+    for i in np.flatnonzero(~fits | ~id_ok | repeated | (codes < 0)).tolist():
+        line = numbers[i]
+        codes[i], ratings[i] = _read_row(line + 1, cells(line), catalog, bool(repeated[i]))
+    if error is not None:
+        raise Error(error)
     return Dataset.from_columns(catalog, ids, codes, ratings)
 
 

@@ -18,9 +18,11 @@ package did before it held the survey as columns.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -273,47 +275,62 @@ def jacobi_eigh_oracle(matrix, sweeps: int = 100, tol: float = 1e-14):
 def load_dataset_oracle(path, catalog=None):
     """Row-by-row survey CSV reader: (ids, lowercase type codes, int64 rating
     matrix), or the first error in the file, checked cell by cell in file
-    order."""
+    order.  Bytes that are not UTF-8 and text the csv module cannot parse
+    raise the loader's messages for them."""
     catalog = catalog if catalog is not None else default_catalog()
     expected = ["respondent_id", "mbti", *catalog.genres]
     ids, types, matrix = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise Error(
+            f"{path}: not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+
+    def parsed():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise Error(f"{path}: line {reader.line_num}: {exc}") from None
+
+    rows = parsed()
+    header = next(rows, None)
+    if header != expected:
+        raise Error(
+            f"header does not match catalog ({len(expected)} columns expected); "
+            f"got {header[:4] if header else header}..."
+        )
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(expected):
+            raise Error(f"line {lineno}: expected {len(expected)} columns, got {len(row)}")
+        rid = row[0]
+        if not RESPONDENT_ID_RE.match(rid):
+            raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
+        if rid in ids:
+            raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
+        mbti = row[1].lower()
+        if mbti not in ALL_TYPES:
             raise Error(
-                f"header does not match catalog ({len(expected)} columns expected); "
-                f"got {header[:4] if header else header}..."
+                f"line {lineno}, column 'mbti': not a valid personality code: {row[1]!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise Error(f"line {lineno}: expected {len(expected)} columns, got {len(row)}")
-            rid = row[0]
-            if not RESPONDENT_ID_RE.match(rid):
-                raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
-            if rid in ids:
-                raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
-            mbti = row[1].lower()
-            if mbti not in ALL_TYPES:
+        ratings = []
+        for cell, genre in zip(row[2:], catalog.genres):
+            if not (cell.isascii() and cell.isdigit()):
                 raise Error(
-                    f"line {lineno}, column 'mbti': not a valid personality code: {row[1]!r}"
+                    f"line {lineno}, column {genre!r}: ratings must be "
+                    f"integers 0..6, got {cell!r}"
                 )
-            ratings = []
-            for cell, genre in zip(row[2:], catalog.genres):
-                if not (cell.isascii() and cell.isdigit()):
-                    raise Error(
-                        f"line {lineno}, column {genre!r}: ratings must be "
-                        f"integers 0..6, got {cell!r}"
-                    )
-                value = int(cell)
-                if value > 6:
-                    raise Error(f"line {lineno}, column {genre!r}: rating out of range: {value}")
-                ratings.append(value)
-            ids.append(rid)
-            types.append(mbti)
-            matrix.append(ratings)
+            value = int(cell)
+            if value > 6:
+                raise Error(f"line {lineno}, column {genre!r}: rating out of range: {value}")
+            ratings.append(value)
+        ids.append(rid)
+        types.append(mbti)
+        matrix.append(ratings)
     return tuple(ids), tuple(types), np.array(matrix, dtype=np.int64).reshape(-1, len(catalog))
 
 

@@ -1,5 +1,7 @@
+import csv
 import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -344,7 +346,8 @@ class TestSkewSummary:
 
 
 class TestLoaderAgainstOracle:
-    """``load_dataset`` reads in bulk; the row-by-row reader is the reference."""
+    """``load_dataset`` reads quote-free files without the csv module and any
+    other file through it; the row-by-row reader is the reference for both."""
 
     @pytest.fixture(scope="class")
     def lines(self, survey_dataset):
@@ -352,9 +355,17 @@ class TestLoaderAgainstOracle:
         assert any(",0," in line for line in lines[1:])
         return lines
 
-    def _write(self, tmp_path, lines, ending="\n"):
+    def _bases(self, lines):
+        """The survey as ``dataset_to_csv`` writes it, which is read in bulk,
+        and with odd but valid cells, which the row rule reads."""
+        return {"clean": list(lines), "odd": self._odd_but_valid(lines)}
+
+    def _write(self, tmp_path, lines, ending="\n", final=True):
+        """The lines as a file; a lone surrogate in them stands for the byte
+        it escapes, which is not UTF-8."""
         path = tmp_path / "survey.csv"
-        path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        text = ending.join(lines) + (ending if final else "")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         return path
 
     def _odd_but_valid(self, lines):
@@ -372,12 +383,26 @@ class TestLoaderAgainstOracle:
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_same_columns(self, tmp_path, lines, ending):
-        path = self._write(tmp_path, self._odd_but_valid(lines), ending)
-        ids, types, matrix = load_dataset_oracle(path)
-        loaded = load_dataset(path)
-        assert loaded.respondent_ids == ids
-        assert tuple(ALL_TYPES[c] for c in loaded.type_codes.tolist()) == types
-        assert np.array_equal(loaded.rating_matrix(), matrix)
+        for (name, base), variant in product(
+            self._bases(lines).items(), ["as-written", "unterminated", "quoted", "header-only"]
+        ):
+            out = list(base)
+            if variant == "quoted":
+                out[7] = ",".join(f'"{cell}"' for cell in out[7].split(","))
+            elif variant == "header-only":
+                out = out[:1]
+            path = self._write(tmp_path, out, ending, final=variant != "unterminated")
+            ids, types, matrix = load_dataset_oracle(path)
+            loaded = load_dataset(path)
+            assert loaded.respondent_ids == ids, (name, variant)
+            assert tuple(ALL_TYPES[c] for c in loaded.type_codes.tolist()) == types
+            assert np.array_equal(loaded.rating_matrix(), matrix)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_header_only_validates(self, tmp_path, capsys, lines, ending):
+        path = self._write(tmp_path, lines[:1], ending)
+        assert run(["validate", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("ok: 0 records, 121 genre columns")
 
     @pytest.mark.parametrize(
         "edits",
@@ -399,24 +424,93 @@ class TestLoaderAgainstOracle:
             [(3, 1, "zzzz"), (30, 0, "dup")],
             [(30, 0, "dup"), (40, 5, "9")],
             [(12, None, "long")],
+            [(5, 0, '"a,b"')],
+            [(5, 3, '"3"'), (9, 4, "x")],
+            [(5, 4, "3\r3")],
+            [(5, 40, "9" * 200000)],
+            [(2, 5, "8"), (9, 0, "a" * 200000)],
+            [(5, 0, "ab\udcffcd")],
+            [(2, 5, "x"), (9, 0, "ab\udcffcd")],
+            [(5, None, "merged")],
+            [(5, None, "short"), (5, 3, '"3,3"')],
+            [(30, 0, "dup"), (30, None, "no-ratings")],
+            [(5, None, "   ")],
+            [(5, 0, "ab\x0bcd")],
+            [(5, 0, "ab\u2028cd")],
+            [(-1, 5, "x"), (None, None, "unterminated")],
+            [(-1, None, "short"), (None, None, "unterminated")],
         ],
     )
     def test_same_first_error(self, tmp_path, lines, edits):
-        out = self._odd_but_valid(lines)
-        for row, column, value in edits:
-            cells = out[row].split(",")
-            if value == "short":
-                cells = cells[:-1]
-            elif value == "long":
-                cells.append("3")
-            elif value == "dup":
-                cells[column] = out[1].split(",")[0]
-            else:
-                cells[column] = value
-            out[row] = ",".join(cells)
-        path = self._write(tmp_path, out)
+        final = (None, None, "unterminated") not in edits
+        for name, out in self._bases(lines).items():
+            while not (final or out[-1]):
+                out.pop()
+            for row, column, value in edits:
+                if row is None:
+                    continue
+                cells = out[row].split(",")
+                if value == "short":
+                    cells = cells[:-1]
+                elif value == "long":
+                    cells.append("3")
+                elif value == "merged":
+                    cells[10:12] = [cells[10] + "5" + cells[11]]
+                elif value == "no-ratings":
+                    cells[2:] = [""] * (len(cells) - 2)
+                elif value == "dup":
+                    cells[column] = out[1].split(",")[0]
+                elif column is None:
+                    cells = [value]
+                else:
+                    cells[column] = value
+                out[row] = ",".join(cells)
+            path = self._write(tmp_path, out, final=final)
+            with pytest.raises(Error) as expected:
+                load_dataset_oracle(path)
+            with pytest.raises(Error) as found:
+                load_dataset(path)
+            assert str(found.value) == str(expected.value), name
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "\r\n", "\n\n", "   \n", "respondent_id\n", '"respondent_id,mbti",x\n',
+         "\udcff\n", '"' + "x" * 200000 + '"\n'],
+        ids=["empty", "blank", "blank-crlf", "two-blank", "spaces", "short", "quoted-comma",
+             "not-utf8", "past-limit"],
+    )
+    def test_same_header_error(self, tmp_path, text):
+        path = tmp_path / "survey.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(Error) as expected:
             load_dataset_oracle(path)
         with pytest.raises(Error) as found:
             load_dataset(path)
         assert str(found.value) == str(expected.value)
+
+    def test_row_error_before_csv_error(self, tmp_path):
+        """A bad rating on line 3 is reported before a field past the csv
+        module's limit on line 10, as the row-by-row reader reports it."""
+        lines = dataset_to_csv(generate_synthetic(SynthConfig(seed=7))).splitlines()
+        cells = lines[2].split(",")
+        cells[5] = "8"
+        lines[2] = ",".join(cells)
+        lines[9] = "a" * 200000 + lines[9][lines[9].index(","):]
+        path = self._write(tmp_path, lines)
+        message = "^line 3, column 'fiction_03': rating out of range: 8$"
+        with pytest.raises(Error, match=message):
+            load_dataset_oracle(path)
+        with pytest.raises(Error, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_written_form_needs_no_csv_module(self, tmp_path, monkeypatch, lines, ending,
+                                              survey_dataset):
+        """Files in the form ``dataset_to_csv`` writes are read in bulk."""
+        path = self._write(tmp_path, lines, ending)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the csv module read a file in the written form")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        assert load_dataset(path) == survey_dataset
