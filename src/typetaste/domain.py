@@ -252,9 +252,13 @@ def read_csv_rows(text: str, name: str | Path) -> tuple[list[list[str]], str | N
 
 
 def load_catalog(path: str | Path) -> GenreCatalog:
-    """Read a ``category,genre`` CSV written by :func:`save_catalog`."""
+    """Read a ``category,genre`` CSV written by :func:`save_catalog`.
+
+    Text the csv module cannot parse raises after the rows before it are
+    checked, so the first error in the file is the one reported.
+    """
     rows, error = read_csv_rows(read_utf8(path), path)
-    if error is not None:
+    if error is not None and not rows:
         raise Error(error)
     header = rows[0] if rows else None
     if header != list(CATALOG_HEADER):
@@ -269,6 +273,8 @@ def load_catalog(path: str | Path) -> GenreCatalog:
         if not groups or groups[-1][0] != name:
             groups.append((name, []))
         groups[-1][1].append(genre)
+    if error is not None:
+        raise Error(error)
     return GenreCatalog(tuple((name, tuple(genres)) for name, genres in groups))
 
 

@@ -5,7 +5,10 @@ by one column per catalog genre, UTF-8, integer cells 0..6.  Files are written
 with LF line endings and read with LF or CRLF.  A file with no quote, no lone
 CR, no NUL and no line past ``csv.field_size_limit()``, as every file written
 here is, is read in bulk without the csv module; both routes give the same
-dataset and the same first error.
+dataset and the same first error.  Respondent ids must match
+``[A-Za-z0-9_-]+`` in full, so no data row is ever quoted: rows are written
+from one byte array of ratings, and synthetic ratings are drawn in one call
+for all rows.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .domain import (
 from .errors import Error
 
 # Respondent ids must be filename- and URL-safe so downstream CSV never needs
-# quoting in the id column.
-RESPONDENT_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+# quoting in the id column.  Always matched in full: with ``match``, ``$``
+# would also accept an id that ends in a newline.
+RESPONDENT_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 # Per-type respondent counts of the 1020-entry reference survey, the profile
 # behind the ``synth --paper-frequencies`` flag.  Insertion order is
@@ -145,25 +149,25 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     """Sample a dataset that honors ``config.frequencies`` exactly.
 
     Each rating is a normal draw with standard deviation 1 around its
-    :func:`planted_means` entry, rounded and clipped into 0..6.  Types are
-    generated in canonical alphabetical order with ids
+    :func:`planted_means` entry, rounded and clipped into 0..6.  All draws
+    come from one ``standard_normal`` call over the whole (n, n_genres)
+    matrix, rows grouped by type in canonical alphabetical order, with ids
     ``<code>-<nnn>``, so the output is fully determined by the config.
     """
     rng = np.random.default_rng(config.seed)
-    means = planted_means(config.catalog)
-    width = len(config.catalog)
-    ids: list[str] = []
-    codes: list[int] = []
-    blocks: list[np.ndarray] = []
-    for ti, t in enumerate(ALL_TYPES):
-        count = int(config.frequencies[ti])
-        if count == 0:
-            continue
-        raw = rng.normal(loc=means[ti], scale=1.0, size=(count, width))
-        blocks.append(np.clip(np.rint(raw), 0, 6).astype(np.int8))
-        ids.extend(map(f"{t}-{{:03d}}".format, range(count)))
-        codes.extend(repeat(ti, count))
-    return Dataset.from_columns(config.catalog, ids, codes, np.concatenate(blocks))
+    counts = config.frequencies
+    codes = np.repeat(np.arange(len(ALL_TYPES), dtype=np.int8), counts)
+    # ``rng.normal(loc, 1.0)`` over a type's block is ``loc + 1.0 * z`` for
+    # the same z in C order, so one draw for all rows gives the same values.
+    # The means are added block by block in place: a means row per
+    # respondent would double the largest array.
+    ratings = rng.standard_normal((len(codes), len(config.catalog)))
+    stops = np.cumsum(counts).tolist()
+    for mean, start, stop in zip(planted_means(config.catalog), [0, *stops], stops):
+        ratings[start:stop] += mean
+    ratings = np.clip(np.rint(ratings, out=ratings), 0, RATING_MAX, out=ratings).astype(np.int8)
+    ids = [f"{t}-{i:03d}" for t, count in zip(ALL_TYPES, counts.tolist()) for i in range(count)]
+    return Dataset.from_columns(config.catalog, ids, codes, ratings)
 
 
 def _dataset_header(catalog: GenreCatalog) -> list[str]:
@@ -197,7 +201,7 @@ def _read_row(
     if len(row) != expected:
         raise Error(f"line {lineno}: expected {expected} columns, got {len(row)}")
     rid = row[0]
-    if not RESPONDENT_ID_RE.match(rid):
+    if not RESPONDENT_ID_RE.fullmatch(rid):
         raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
     if repeated:
         raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
@@ -280,7 +284,7 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
     types = map(str.lower, map(itemgetter(-1), heads))
     codes = np.fromiter(map(TYPE_INDEX.get, types, repeat(-1)), np.int8, n)
     repeated = repeated_ids(ids)
-    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.match, ids)), bool, n)
+    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.fullmatch, ids)), bool, n)
     # The row rule raises the first error in file order, or reads a row whose
     # odd cells are valid (such as "06").
     for i in np.flatnonzero(~fits | ~id_ok | repeated | (codes < 0)).tolist():
@@ -292,17 +296,25 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
-    """Serialize a dataset to its canonical CSV text (LF line endings)."""
+    """Serialize a dataset to its canonical CSV text (LF line endings).
+
+    Every id must match ``[A-Za-z0-9_-]+`` in full, so no data row needs
+    quoting.  The header goes through the csv module, as genre names may
+    need quoting; each row's ratings are the ``,d`` pairs of one byte
+    array, so no rating becomes a Python object.
+    """
     ids = dataset.respondent_ids
-    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.match, ids)), bool, len(ids))
+    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.fullmatch, ids)), bool, len(ids))
     if not id_ok.all():
         raise Error(f"respondent id not serializable: {ids[id_ok.argmin()]!r}")
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_dataset_header(dataset.catalog))
+    csv.writer(buf, lineterminator="\n").writerow(_dataset_header(dataset.catalog))
+    n, width = dataset.ratings.shape
+    pairs = np.full((n, 2 * width), ord(","), np.uint8)
+    pairs[:, 1::2] = dataset.ratings + ord("0")
+    tails = map(bytes.decode, pairs.view(f"S{2 * width}").ravel().tolist())
     types = map(ALL_TYPES.__getitem__, dataset.type_codes.tolist())
-    writer.writerows(zip(ids, types, *dataset.ratings.T.tolist()))
-    return buf.getvalue()
+    return "".join([buf.getvalue(), *map("{},{}{}\n".format, ids, types, tails)])
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

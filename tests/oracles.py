@@ -11,8 +11,10 @@ the route the package took before it built them in row blocks.  The Lloyd
 reference uses the same distance expression as the library but the
 plainest route for everything else (full recomputation each round,
 one-row-at-a-time ``np.add.at`` sums).
-The survey oracles read, tally and average one record at a time, as the
-package did before it held the survey as columns.
+The survey oracles read, write, tally and average one record at a time, as
+the package did before it held the survey as columns, and the generator
+oracle draws one block of normals per type, as the package did before it
+drew all rows at once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
@@ -27,9 +30,13 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, default_catalog
+from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, Dataset, default_catalog
 from typetaste.errors import Error
-from typetaste.ingest import RESPONDENT_ID_RE
+from typetaste.ingest import planted_means
+
+# A respondent id, anchored at the very end of the string: ``$`` would also
+# match before a final newline.
+ID_RE = re.compile(r"^[A-Za-z0-9_-]+\Z")
 
 
 def contingency_oracle(labels_true, labels_pred) -> np.ndarray:
@@ -308,7 +315,7 @@ def load_dataset_oracle(path, catalog=None):
         if len(row) != len(expected):
             raise Error(f"line {lineno}: expected {len(expected)} columns, got {len(row)}")
         rid = row[0]
-        if not RESPONDENT_ID_RE.match(rid):
+        if not ID_RE.match(rid):
             raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
         if rid in ids:
             raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
@@ -332,6 +339,39 @@ def load_dataset_oracle(path, catalog=None):
         types.append(mbti)
         matrix.append(ratings)
     return tuple(ids), tuple(types), np.array(matrix, dtype=np.int64).reshape(-1, len(catalog))
+
+
+def generate_synthetic_oracle(config):
+    """A synthetic dataset drawn one type block at a time: one
+    ``rng.normal`` call per type with a nonzero count, in canonical order."""
+    rng = np.random.default_rng(config.seed)
+    means = planted_means(config.catalog)
+    width = len(config.catalog)
+    ids, codes, blocks = [], [], []
+    for ti, t in enumerate(ALL_TYPES):
+        count = int(config.frequencies[ti])
+        if count == 0:
+            continue
+        raw = rng.normal(loc=means[ti], scale=1.0, size=(count, width))
+        blocks.append(np.clip(np.rint(raw), 0, 6).astype(np.int8))
+        ids.extend(f"{t}-{i:03d}" for i in range(count))
+        codes.extend([ti] * count)
+    return Dataset.from_columns(config.catalog, ids, codes, np.concatenate(blocks))
+
+
+def dataset_to_csv_oracle(dataset):
+    """The CSV text of a dataset, each row written by the csv module from a
+    list of Python values."""
+    for rid in dataset.respondent_ids:
+        if not ID_RE.match(rid):
+            raise Error(f"respondent id not serializable: {rid!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["respondent_id", "mbti", *dataset.catalog.genres])
+    rows = zip(dataset.respondent_ids, dataset.type_codes.tolist(), dataset.ratings.tolist())
+    for rid, code, ratings in rows:
+        writer.writerow([rid, ALL_TYPES[code], *ratings])
+    return buf.getvalue()
 
 
 def profiles_oracle(records, n_genres):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from oracles import dataset_to_csv_oracle, generate_synthetic_oracle
 from typetaste import ingest, kmeans, pca
 from typetaste.cli import run
 from typetaste.domain import default_catalog, save_catalog
@@ -36,6 +37,26 @@ class TestSynth:
         out = tmp_path / "survey.csv"
         assert run(["synth", "--freq-file", str(freq), "--seed", "1", "-o", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize("source", ["paper", "freq-file"])
+    def test_bytes_match_oracles(self, tmp_path, capsys, source):
+        """stdout and ``-o`` carry what the per-type draw and the csv module's
+        row writer give for the same config."""
+        if source == "paper":
+            argv = ["synth", "--paper-frequencies", "--seed", "7"]
+            frequencies = ingest.SURVEY_TYPE_COUNTS
+        else:
+            frequencies = {"ISTP": 9, "enfj": 4, "esfj": 0, "intp": 30}
+            freq = tmp_path / "freq.json"
+            freq.write_text(json.dumps(frequencies))
+            argv = ["synth", "--freq-file", str(freq), "--seed", "12"]
+        config = ingest.SynthConfig(seed=int(argv[-1]), frequencies=frequencies)
+        expected = dataset_to_csv_oracle(generate_synthetic_oracle(config))
+        assert run(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "survey.csv"
+        assert run(argv + ["-o", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_requires_exactly_one_source(self, tmp_path):
         freq = tmp_path / "freq.json"

@@ -161,6 +161,27 @@ class TestGenreCatalog:
         save_catalog(awkward, path)
         assert load_catalog(path) == awkward
 
+    def test_row_error_before_csv_error(self, tmp_path):
+        """A third column on line 3 is reported before a field past the csv
+        module's limit on line 10."""
+        path = tmp_path / "catalog.csv"
+        save_catalog(default_catalog(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2] += ",x"
+        lines[9] = lines[9].split(",")[0] + "," + "g" * 200000
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(Error, match="^catalog line 3: expected 2 columns$"):
+            load_catalog(path)
+
+    def test_csv_error_after_valid_rows(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        save_catalog(default_catalog(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[9] = lines[9].split(",")[0] + "," + "g" * 200000
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(Error, match=r": line 10: field larger than field limit \(131072\)$"):
+            load_catalog(path)
+
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "catalog.csv"
         path.write_text("genre,category\nx,y\n")

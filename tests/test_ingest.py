@@ -6,9 +6,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oracles import load_dataset_oracle
+from oracles import dataset_to_csv_oracle, generate_synthetic_oracle, load_dataset_oracle
 from typetaste.cli import run
-from typetaste.domain import ALL_TYPES, TYPE_INDEX, default_catalog, type_code
+from typetaste.domain import (
+    ALL_TYPES,
+    TYPE_INDEX,
+    Dataset,
+    GenreCatalog,
+    default_catalog,
+    type_code,
+)
 from typetaste.errors import Error
 from typetaste.ingest import (
     SURVEY_TYPE_COUNTS,
@@ -299,6 +306,22 @@ class TestDatasetCsv:
         with pytest.raises(Error, match=message):
             load_dataset(self._write(tmp_path, lines))
 
+    def test_validate_rejects_id_ending_in_newline(self, tmp_path, capsys):
+        """``$`` would match before the final newline of a quoted id."""
+        lines = dataset_to_csv(generate_synthetic(SynthConfig(seed=7))).splitlines()
+        lines[1] = '"ab\n"' + lines[1][lines[1].index(","):]
+        path = self._write(tmp_path, lines)
+        assert run(["validate", "--input", str(path)]) == 1
+        message = r"line 2: respondent id must match [A-Za-z0-9_-]+, got 'ab\n'"
+        assert capsys.readouterr().err == f"typetaste: error: {message}\n"
+
+    def test_writer_rejects_id_ending_in_newline(self):
+        dataset = Dataset.from_columns(
+            default_catalog(), ["ab\n"], [0], np.zeros((1, 121), np.int8)
+        )
+        with pytest.raises(Error, match=r"^respondent id not serializable: 'ab\\n'$"):
+            dataset_to_csv(dataset)
+
     def test_load_rejects_short_row(self, tmp_path, small_dataset):
         lines = self._lines(small_dataset)
         lines[1] = ",".join(lines[1].split(",")[:-1])
@@ -310,6 +333,82 @@ class TestDatasetCsv:
         lines[3] = ",".join(lines[3].split(",")[:-1])
         with pytest.raises(Error, match="^line 4: expected 123 columns, got 122$"):
             load_dataset(self._write(tmp_path, lines))
+
+
+def _awkward_catalog() -> GenreCatalog:
+    """The default catalog with a genre name the csv module must quote."""
+    groups = []
+    for name, genres in default_catalog().categories:
+        if name == "music":
+            genres = ('Jazz, Swing & "Big Band"',) + genres[1:]
+        groups.append((name, genres))
+    return GenreCatalog(tuple(groups))
+
+
+class TestSynthAgainstOracles:
+    """One normal draw for all rows and the byte-array writer give what a
+    draw per type block and the csv module's row writer give."""
+
+    @pytest.mark.parametrize(
+        "frequencies",
+        [
+            dict(SURVEY_TYPE_COUNTS),
+            {t: 10 * count for t, count in SURVEY_TYPE_COUNTS.items()},
+            {"enfj": 0, "intp": 7, "esfj": 3, "istp": 0},
+            {"enfp": 2, "istp": 5},
+            {"istj": 1},
+            {"infp": 40},
+        ],
+        ids=["paper", "paper-x10", "zero-counts", "zero-first-type", "one-respondent",
+             "one-type"],
+    )
+    def test_same_dataset_and_bytes(self, tmp_path, frequencies):
+        path = tmp_path / "survey.csv"
+        for seed in range(20):
+            config = SynthConfig(seed=seed, frequencies=frequencies)
+            expected = generate_synthetic_oracle(config)
+            dataset = generate_synthetic(config)
+            assert dataset == expected, seed
+            text = dataset_to_csv(dataset)
+            assert text == dataset_to_csv_oracle(expected), seed
+            save_dataset(dataset, path)
+            assert path.read_bytes() == text.encode("utf-8")
+            assert load_dataset(path) == dataset
+
+    def test_awkward_header(self, tmp_path):
+        catalog = _awkward_catalog()
+        config = SynthConfig(seed=3, frequencies={"intj": 4, "esfp": 2}, catalog=catalog)
+        dataset = generate_synthetic(config)
+        assert dataset == generate_synthetic_oracle(config)
+        text = dataset_to_csv(dataset)
+        assert '"Jazz, Swing & ""Big Band"""' in text.split("\n", 1)[0]
+        assert text == dataset_to_csv_oracle(dataset)
+        path = tmp_path / "survey.csv"
+        save_dataset(dataset, path)
+        assert load_dataset(path, catalog) == dataset
+
+    @pytest.mark.parametrize(
+        "types",
+        [["intp"], ["esfj", "intj", "enfp"], [t for t in ALL_TYPES if t != "intp"], []],
+        ids=["one", "three", "fifteen", "none"],
+    )
+    def test_restricted_types(self, tmp_path, survey_dataset, types):
+        """Subsets, including the empty one, whose file is the header alone."""
+        subset = survey_dataset.restrict_types(types)
+        text = dataset_to_csv(subset)
+        assert text == dataset_to_csv_oracle(subset)
+        assert text.count("\n") == len(subset) + 1
+        path = tmp_path / "survey.csv"
+        save_dataset(subset, path)
+        assert load_dataset(path) == subset
+
+    def test_hand_made_rows(self):
+        """Ids of any length, every type and every rating in one dataset."""
+        ids = ["a", "B-9_", "x" * 300, *(f"r{i}" for i in range(16))]
+        codes = [0, 15, 8, *range(16)]
+        ratings = np.arange(len(ids) * 121).reshape(len(ids), 121) % 7
+        dataset = Dataset.from_columns(default_catalog(), ids, codes, ratings)
+        assert dataset_to_csv(dataset) == dataset_to_csv_oracle(dataset)
 
 
 class TestSkewSummary:
@@ -439,6 +538,7 @@ class TestLoaderAgainstOracle:
             [(5, 0, "ab\u2028cd")],
             [(-1, 5, "x"), (None, None, "unterminated")],
             [(-1, None, "short"), (None, None, "unterminated")],
+            [(5, 0, '"ab\n"')],
         ],
     )
     def test_same_first_error(self, tmp_path, lines, edits):
