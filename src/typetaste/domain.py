@@ -138,6 +138,18 @@ class GenreCatalog:
         return tuple(name for name, genres in self.categories for _ in genres)
 
     @cached_property
+    def name_rank(self) -> np.ndarray:
+        """Each column's position in ``sorted(genres)``, read-only: the
+        alphabetical tie-break of every ranking as one sort key.  Python's
+        string order is used because numpy's ``<U`` arrays drop trailing
+        NULs, so ``"a\\x00"`` and ``"a"`` would tie there."""
+        order = sorted(range(len(self.genres)), key=self.genres.__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        rank.setflags(write=False)
+        return rank
+
+    @cached_property
     def _index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.genres)}
 

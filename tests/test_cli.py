@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -437,6 +438,26 @@ class TestRecommend:
             "typetaste recommend: error: argument --blend: only allowed with argument"
             " --user-row\n"
         )
+
+    # sha256 and length of stdout on the seed-7 paper-frequencies survey.
+    PINNED = {
+        ("--type", "intp"): (
+            583, "457b9152de674d5d3bd0d32d64e6ccbca05ab607443f4af24f83715a46d944c7"),
+        ("--type", "intp", "--format", "json"): (
+            1637, "5c9702fe03254551201a2312b2b838643066b251b3ef436615cfb9f39ffa18ff"),
+        ("--user-row", "intp-007"): (
+            616, "1da98609f57378c906d856c974322ed41f0eed119f5c0b60e71f36dcc5274388"),
+        ("--user-row", "intp-007", "--format", "json"): (
+            1669, "e9d41dd1b08aa78910fa247e4a3d9210610f5ff33af89ef06db190723365cf63"),
+    }
+
+    @pytest.mark.parametrize("args", list(PINNED), ids=" ".join)
+    def test_stdout_bytes_pinned(self, tmp_path, capsys, args):
+        survey = tmp_path / "survey.csv"
+        assert run(["synth", "--paper-frequencies", "--seed", "7", "-o", str(survey)]) == 0
+        assert run(["recommend", "--input", str(survey), *args]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert (len(out), hashlib.sha256(out).hexdigest()) == self.PINNED[args]
 
     def test_user_row_default_blend_is_half(self, small_csv, capsys):
         base = ["recommend", "--input", str(small_csv), "--user-row", "intp-000"]

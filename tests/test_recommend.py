@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ import pytest
 from oracles import profiles_oracle, ranking_oracle
 from typetaste.domain import (
     ALL_TYPES,
+    CATEGORY_ORDER,
+    CATEGORY_SIZES,
     TYPE_INDEX,
     Dataset,
+    GenreCatalog,
     SurveyRecord,
     default_catalog,
 )
@@ -42,6 +47,19 @@ def profile_dataset():
         records.append(SurveyRecord(f"intp-{i}", "intp", ratings))
     records.append(SurveyRecord("cold-0", "intp", [0] * len(cat)))
     return Dataset(cat, tuple(records))
+
+
+BAD_TOP_N = [
+    (2.5, "top_n must be an integer, got float"),
+    ("3", "top_n must be an integer, got str"),
+    (None, "top_n must be an integer, got NoneType"),
+    (True, "top_n must be an integer, got bool"),
+]
+
+
+def _fields(rec):
+    """A recommendation's items as :func:`ranking_oracle` tuples."""
+    return [(i.genre, i.category, i.score, i.support, i.low_support) for i in rec.items]
 
 
 def _row(profiles, code):
@@ -169,6 +187,17 @@ class TestRecommendForType:
         assert len(recommend_for_type(profiles, "intp", top_n=3).items) == 3
         assert len(recommend_for_type(profiles, "intp", top_n=500).items) == 121
         assert len(recommend_for_type(profiles, "intp", top_n=0).items) == 0
+        assert recommend_for_type(profiles, "intp", top_n=-2).items == ()
+        assert recommend_for_type(profiles, "intp", category="music", top_n=-1).items == ()
+        assert len(recommend_for_type(profiles, "intp", top_n=np.int64(4)).items) == 4
+
+    @pytest.mark.parametrize("top_n, message", BAD_TOP_N)
+    def test_top_n_must_be_an_integer(self, profile_dataset, top_n, message):
+        profiles = build_profiles(profile_dataset)
+        with pytest.raises(Error, match=f"^{message}$"):
+            recommend_for_type(profiles, "intp", top_n=top_n)
+        with pytest.raises(Error, match=f"^{message}$"):
+            recommend_for_type(profiles, "intp", category="music", top_n=top_n)
 
 
 class TestRecommendForUser:
@@ -225,17 +254,46 @@ class TestRecommendForUser:
     def test_bad_blend_weight_rejected(self, profile_dataset):
         profiles = build_profiles(profile_dataset)
         user = self._user(profile_dataset)
-        with pytest.raises(Error):
+        with pytest.raises(Error, match=r"^blend weight must be within 0\.\.1, got 1\.5$"):
             recommend_for_user(profiles, user, blend_weight=1.5)
+
+    @pytest.mark.parametrize("blend, message", [
+        (-0.1, "blend weight must be within 0..1, got -0.1"),
+        (float("nan"), "blend weight must be within 0..1, got nan"),
+        ("0.5", "blend weight must be a real number, got str"),
+        (None, "blend weight must be a real number, got NoneType"),
+        (True, "blend weight must be a real number, got bool"),
+        (0.5j, "blend weight must be a real number, got complex"),
+    ])
+    def test_blend_weight_must_be_real_within_0_1(self, profile_dataset, blend, message):
+        profiles = build_profiles(profile_dataset)
+        user = self._user(profile_dataset)
+        with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+            recommend_for_user(profiles, user, blend_weight=blend)
+
+    @pytest.mark.parametrize("blend", [np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
+    def test_real_blend_weights_accepted(self, profile_dataset, blend):
+        profiles = build_profiles(profile_dataset)
+        user = self._user(profile_dataset, **{"games_00": 6, "Psychology": 4})
+        rec = recommend_for_user(profiles, user, top_n=121, blend_weight=blend)
+        assert rec == recommend_for_user(profiles, user, top_n=121, blend_weight=0.5)
+
+    @pytest.mark.parametrize("top_n, message", BAD_TOP_N)
+    def test_top_n_must_be_an_integer(self, profile_dataset, top_n, message):
+        profiles = build_profiles(profile_dataset)
+        user = self._user(profile_dataset, **{"games_00": 6})
+        with pytest.raises(Error, match=f"^{message}$"):
+            recommend_for_user(profiles, user, top_n=top_n)
+
+    def test_negative_top_n_gives_no_items(self, profile_dataset):
+        profiles = build_profiles(profile_dataset)
+        user = self._user(profile_dataset, **{"games_00": 6})
+        assert recommend_for_user(profiles, user, top_n=-3).items == ()
 
 
 class TestAgainstRankingOracle:
     """Every ranking of the reference-sized survey equals the plain-Python
     oracle's, field for field."""
-
-    @staticmethod
-    def _fields(rec):
-        return [(i.genre, i.category, i.score, i.support, i.low_support) for i in rec.items]
 
     def test_type_rankings(self, survey_dataset):
         profiles = build_profiles(survey_dataset)
@@ -245,7 +303,7 @@ class TestAgainstRankingOracle:
             for category in (None,) + catalog.category_names:
                 rec = recommend_for_type(profiles, t, category=category, top_n=121)
                 assert rec.mbti == t and rec.strategy == "type-profile"
-                assert self._fields(rec) == ranking_oracle(
+                assert _fields(rec) == ranking_oracle(
                     catalog, expected[t], category=category
                 )
 
@@ -257,9 +315,93 @@ class TestAgainstRankingOracle:
             for blend in (0.0, 0.5, 1.0):
                 rec = recommend_for_user(profiles, user, top_n=121, blend_weight=blend)
                 assert rec.mbti == user.mbti and rec.strategy == "blended"
-                assert self._fields(rec) == ranking_oracle(
+                assert _fields(rec) == ranking_oracle(
                     catalog, expected[user.mbti], ratings=user.ratings, blend_weight=blend
                 )
+
+
+class TestNameOrder:
+    """Ties break by Python's string order (code point), on a catalog whose
+    names sort differently by case, by accent or by numpy's ``<U`` rules
+    (which drop trailing NULs), with many equal scores and one absent type."""
+
+    SPECIAL = ("B", "a", "\u00e9", "a\x00", "A", "b", "e", "z", "Z", "\u00c9", "_", "a b", "aa")
+    ABSENT = "esfp"
+    TOP_NS = (0, 1, 10, 121, 500)
+
+    @pytest.fixture(scope="class")
+    def survey(self):
+        rng = np.random.default_rng(19)
+        n_genres = sum(CATEGORY_SIZES.values())
+        names = list(self.SPECIAL) + [
+            f"{'Gg'[i % 2]}enre {i // 2:02d}" for i in range(n_genres - len(self.SPECIAL))
+        ]
+        names = [names[i] for i in rng.permutation(n_genres)]
+        # "a\x00" before "a" in column order, so that a stable sort which
+        # reads them as equal (as numpy's <U strings do) ranks them wrongly.
+        i, j = sorted((names.index("a\x00"), names.index("a")))
+        names[i], names[j] = "a\x00", "a"
+        categories, start = [], 0
+        for category in CATEGORY_ORDER:
+            size = CATEGORY_SIZES[category]
+            categories.append((category, tuple(names[start:start + size])))
+            start += size
+        catalog = GenreCatalog(tuple(categories))
+        # 121 columns drawn from 12 distinct ones, so most scores tie; every
+        # special name shares one column.
+        base = rng.integers(0, 7, size=(60, 12))
+        base[:, 0] = 0  # a column nobody tried: it scores 0 for every type
+        source = rng.integers(0, 12, size=n_genres)
+        source[[catalog.index(g) for g in self.SPECIAL]] = 3
+        ratings = base[:, source]
+        types = [t for t in ALL_TYPES if t != self.ABSENT]
+        records = tuple(
+            SurveyRecord(f"r{i}", types[i % len(types)], ratings[i].tolist())
+            for i in range(len(ratings))
+        )
+        return Dataset(catalog, records)
+
+    def test_name_rank_is_python_string_order(self, survey):
+        catalog = survey.catalog
+        ranked = sorted(catalog.genres, key=lambda g: catalog.name_rank[catalog.index(g)])
+        assert ranked == sorted(catalog.genres)
+        assert ranked.index("B") < ranked.index("a") < ranked.index("a\x00")
+        assert ranked.index("z") < ranked.index("\u00e9")
+        assert not catalog.name_rank.flags.writeable
+
+    def test_type_rankings(self, survey):
+        profiles = build_profiles(survey)
+        catalog = survey.catalog
+        expected = profiles_oracle(survey.records, len(catalog))
+        assert np.isnan(profiles.mean[TYPE_INDEX[self.ABSENT]]).all()
+        for t in ALL_TYPES:
+            for category in (None,) + catalog.category_names:
+                want = ranking_oracle(catalog, expected[t], category=category)
+                full = _fields(recommend_for_type(profiles, t, category, top_n=500))
+                assert full == want
+                for top_n in self.TOP_NS:
+                    got = _fields(recommend_for_type(profiles, t, category, top_n))
+                    assert got == want[:top_n] == full[:top_n]
+
+    def test_user_rankings(self, survey):
+        profiles = build_profiles(survey)
+        catalog = survey.catalog
+        expected = profiles_oracle(survey.records, len(catalog))
+        rng = np.random.default_rng(20)
+        users = list(survey.records[::7]) + [
+            SurveyRecord("absent", self.ABSENT, rng.integers(0, 7, len(catalog)).tolist()),
+            SurveyRecord("cold", "intp", [0] * len(catalog)),
+        ]
+        for user in users:
+            for blend in (0.0, 0.5, 1.0):
+                want = ranking_oracle(
+                    catalog, expected[user.mbti], ratings=user.ratings, blend_weight=blend
+                )
+                full = _fields(recommend_for_user(profiles, user, 500, blend))
+                assert full == want
+                for top_n in self.TOP_NS:
+                    got = _fields(recommend_for_user(profiles, user, top_n, blend))
+                    assert got == want[:top_n] == full[:top_n]
 
 
 class TestRendering:
