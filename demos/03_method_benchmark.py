@@ -10,7 +10,7 @@ from typetaste import ingest, metrics
 dataset = ingest.generate_synthetic(ingest.SynthConfig(seed=2026))
 print(
     f"Comparing {len(metrics.ALL_METHODS)} clustering methods over "
-    f"{len(dataset.catalog.categories)} rating categories (k=16)..."
+    f"{len(dataset.catalog.category_names)} rating categories (k=16)..."
 )
 print()
 

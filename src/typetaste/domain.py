@@ -10,6 +10,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +54,14 @@ def check_int(value: object, what: str) -> int:
     return v
 
 
+def check_real(value: object, what: str) -> float:
+    """Return ``value`` as a float, or raise :class:`Error` naming ``what``
+    unless it is a real number; a ``bool`` is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise Error(f"{what} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
 def check_seed(seed: int) -> int:
     """Return ``seed`` as a plain int, or raise :class:`Error` unless it is
     an unsigned 64-bit integer; a ``bool`` is not one."""
@@ -93,49 +102,47 @@ CATEGORY_SIZES: Mapping[str, int] = {
 
 CATEGORY_ORDER: tuple[str, ...] = tuple(CATEGORY_SIZES)
 
+# The column layout of every catalog and rating matrix, fixed by the survey
+# design: each column's category, and each category's column slice.
+COLUMN_CATEGORIES: tuple[str, ...] = tuple(
+    name for name, size in CATEGORY_SIZES.items() for _ in range(size)
+)
+CATEGORY_SLICES: Mapping[str, slice] = {
+    name: slice(COLUMN_CATEGORIES.index(name), COLUMN_CATEGORIES.index(name) + size)
+    for name, size in CATEGORY_SIZES.items()
+}
+N_GENRES = len(COLUMN_CATEGORIES)
+
 PSYCHOLOGY = "Psychology"
 RELIGION_SPIRITUALITY = "Religion & Spirituality"
 
 
 @dataclass(frozen=True)
 class GenreCatalog:
-    """Ordered genre names grouped into the five survey categories.
+    """The survey's genre names in column order.
 
-    ``categories`` is a tuple of ``(category_name, genre_names)`` pairs.  The
-    category names, their order, and their sizes are fixed by the survey
-    design; genre names within them are free but must be unique overall.
-    Column order of every rating matrix is the flattened genre order.
+    ``genres`` holds :data:`N_GENRES` unique, non-empty strings, given in
+    any iterable and stored as a tuple.  Column ``i`` belongs to category
+    ``COLUMN_CATEGORIES[i]``; the layout is the survey design's, so only
+    the names are free.  Column order of every rating matrix is this order.
     """
 
-    categories: tuple[tuple[str, tuple[str, ...]], ...]
+    genres: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        names = tuple(name for name, _ in self.categories)
-        if names != CATEGORY_ORDER:
-            raise Error(f"categories must be exactly {CATEGORY_ORDER} in order, got {names}")
-        for name, genres in self.categories:
-            if len(genres) != CATEGORY_SIZES[name]:
-                raise Error(
-                    f"category {name!r} must have {CATEGORY_SIZES[name]} genres, "
-                    f"got {len(genres)}"
-                )
-        flat = [g for _, genres in self.categories for g in genres]
-        if len(set(flat)) != len(flat):
+        genres = tuple(self.genres)
+        if len(genres) != N_GENRES:
+            raise Error(f"a catalog must have {N_GENRES} genres, got {len(genres)}")
+        others = [g for g in genres if not isinstance(g, str)]
+        if others:
+            raise Error(f"genre names must be strings, got {others[0]!r}")
+        if len(set(genres)) != len(genres):
             seen: set[str] = set()
-            dupes = sorted({g for g in flat if g in seen or seen.add(g)})
+            dupes = sorted({g for g in genres if g in seen or seen.add(g)})
             raise Error(f"duplicate genre names: {dupes}")
-        if any(not g for g in flat):
+        if not all(genres):
             raise Error("genre names must be non-empty")
-
-    @cached_property
-    def genres(self) -> tuple[str, ...]:
-        """All genre names in canonical column order."""
-        return tuple(g for _, genres in self.categories for g in genres)
-
-    @cached_property
-    def column_categories(self) -> tuple[str, ...]:
-        """Each column's category name, in canonical column order."""
-        return tuple(name for name, genres in self.categories for _ in genres)
+        object.__setattr__(self, "genres", genres)
 
     @cached_property
     def name_rank(self) -> np.ndarray:
@@ -153,20 +160,11 @@ class GenreCatalog:
     def _index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.genres)}
 
-    @cached_property
-    def _category_slices(self) -> dict[str, slice]:
-        out = {}
-        start = 0
-        for name, genres in self.categories:
-            out[name] = slice(start, start + len(genres))
-            start += len(genres)
-        return out
-
     def __len__(self) -> int:
         return len(self.genres)
 
     def __contains__(self, genre: object) -> bool:
-        return genre in self._index
+        return isinstance(genre, str) and genre in self._index
 
     @property
     def category_names(self) -> tuple[str, ...]:
@@ -175,45 +173,34 @@ class GenreCatalog:
     def index(self, genre: str) -> int:
         """Column index of ``genre``; a name not in the catalog raises
         :class:`Error`."""
-        try:
-            return self._index[genre]
-        except KeyError:
-            raise Error(f"genre not in catalog: {genre!r}") from None
+        if genre not in self:
+            raise Error(f"genre not in catalog: {genre!r}")
+        return self._index[genre]
 
     def category_slice(self, category: str) -> slice:
         """Column slice covering one category; a name that is not one of
         the five categories raises :class:`Error`."""
-        try:
-            return self._category_slices[category]
-        except KeyError:
-            raise Error(f"unknown category: {category!r}") from None
+        if not isinstance(category, str) or category not in CATEGORY_SLICES:
+            raise Error(f"unknown category: {category!r}")
+        return CATEGORY_SLICES[category]
 
     def genres_in(self, category: str) -> tuple[str, ...]:
         return self.genres[self.category_slice(category)]
 
 
 def default_catalog() -> GenreCatalog:
-    """Catalog with the standard category structure and stable placeholder
-    genre names.
+    """Catalog with stable placeholder genre names.
 
     The two nonfiction genres that are analysed individually (Psychology and
-    Religion & Spirituality) carry their real names; the remaining slots get
-    deterministic ``<category>_<nn>`` placeholders.
+    Religion & Spirituality) carry their real names; the remaining columns
+    get deterministic ``<category>_<nn>`` placeholders.
     """
-    def block(prefix: str, count: int) -> list[str]:
-        return [f"{prefix}_{i:02d}" for i in range(count)]
-
-    nonfiction = [PSYCHOLOGY, RELIGION_SPIRITUALITY]
-    nonfiction += block("nonfiction", CATEGORY_SIZES["nonfiction-books"])[2:]
-    return GenreCatalog(
-        (
-            ("fiction-books", tuple(block("fiction", 30))),
-            ("nonfiction-books", tuple(nonfiction)),
-            ("music", tuple(block("music", 25))),
-            ("movies", tuple(block("movies", 21))),
-            ("video-games", tuple(block("games", 11))),
-        )
-    )
+    prefixes = ("fiction", "nonfiction", "music", "movies", "games")
+    sizes = CATEGORY_SIZES.values()
+    genres = [f"{prefix}_{i:02d}" for prefix, size in zip(prefixes, sizes) for i in range(size)]
+    first = CATEGORY_SLICES["nonfiction-books"].start
+    genres[first:first + 2] = PSYCHOLOGY, RELIGION_SPIRITUALITY
+    return GenreCatalog(genres)
 
 
 CATALOG_HEADER = ("category", "genre")
@@ -224,9 +211,7 @@ def save_catalog(catalog: GenreCatalog, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CATALOG_HEADER)
-        for name, genres in catalog.categories:
-            for genre in genres:
-                writer.writerow([name, genre])
+        writer.writerows(zip(COLUMN_CATEGORIES, catalog.genres))
 
 
 def read_utf8(path: str | Path) -> str:
@@ -266,6 +251,8 @@ def read_csv_rows(text: str, name: str | Path) -> tuple[list[list[str]], str | N
 def load_catalog(path: str | Path) -> GenreCatalog:
     """Read a ``category,genre`` CSV written by :func:`save_catalog`.
 
+    Each line's category must be the one :data:`COLUMN_CATEGORIES` puts at
+    its position; the first line that breaks this raises with its number.
     Text the csv module cannot parse raises after the rows before it are
     checked, so the first error in the file is the one reported.
     """
@@ -275,19 +262,22 @@ def load_catalog(path: str | Path) -> GenreCatalog:
     header = rows[0] if rows else None
     if header != list(CATALOG_HEADER):
         raise Error(f"catalog header must be {','.join(CATALOG_HEADER)!r}, got {header}")
-    groups: list[tuple[str, list[str]]] = []
+    genres: list[str] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2:
             raise Error(f"catalog line {lineno}: expected 2 columns")
         name, genre = row
-        if not groups or groups[-1][0] != name:
-            groups.append((name, []))
-        groups[-1][1].append(genre)
+        if len(genres) == N_GENRES:
+            raise Error(f"catalog line {lineno}: the layout has only {N_GENRES} genres")
+        expected = COLUMN_CATEGORIES[len(genres)]
+        if name != expected:
+            raise Error(f"catalog line {lineno}: expected category {expected!r}, got {name!r}")
+        genres.append(genre)
     if error is not None:
         raise Error(error)
-    return GenreCatalog(tuple((name, tuple(genres)) for name, genres in groups))
+    return GenreCatalog(genres)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import check_int, check_seed
+from .domain import check_int, check_real, check_seed
 from .errors import Error
 
 INIT_KMEANSPP = "kmeans++"
@@ -27,13 +27,16 @@ INIT_RANDOM = "random"
 DEFAULT_MAX_ITERS = 300
 DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 10
+# A fit draws all its restart seeds as one u64 array: 8 MB at this bound.
+MAX_RESTARTS = 10**6
 
 
 @dataclass(frozen=True)
 class KmeansConfig:
     """Fit parameters.  ``k``, ``max_iters`` and ``restarts`` are integers
-    of at least 1 and ``seed`` an unsigned 64-bit integer (a ``bool`` is
-    none of these), all stored as plain ints."""
+    of at least 1, ``restarts`` at most :data:`MAX_RESTARTS`, and ``seed``
+    an unsigned 64-bit integer (a ``bool`` is none of these), all stored as
+    plain ints; ``tol`` is a non-negative real number, stored as a float."""
 
     k: int
     init: str = INIT_KMEANSPP
@@ -48,10 +51,13 @@ class KmeansConfig:
             if value < 1:
                 raise Error(f"{name} must be at least 1, got {value}")
             object.__setattr__(self, name, value)
+        if self.restarts > MAX_RESTARTS:
+            raise Error(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
         if self.init not in (INIT_KMEANSPP, INIT_RANDOM):
             raise Error(f"init must be {INIT_KMEANSPP!r} or {INIT_RANDOM!r}, got {self.init!r}")
-        if not self.tol >= 0:
+        if not check_real(self.tol, "tol") >= 0:
             raise Error(f"tol must be non-negative, got {self.tol}")
+        object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

@@ -431,11 +431,12 @@ def run_method_comparison(
             raise Error(f"repeated category: {name!r}")
     resolved: list[str] = []
     for name in methods:
-        if name not in METHOD_NAMES:
+        method = METHOD_NAMES.get(name) if isinstance(name, str) else None
+        if method is None:
             raise Error(f"unknown method {name!r}; expected one of {ALL_METHODS}")
-        if METHOD_NAMES[name] in resolved:
-            raise Error(f"repeated method: {METHOD_NAMES[name]!r}")
-        resolved.append(METHOD_NAMES[name])
+        if method in resolved:
+            raise Error(f"repeated method: {method!r}")
+        resolved.append(method)
     cell_seeds = iter(
         np.random.SeedSequence(seed).generate_state(len(categories) * len(resolved), np.uint64)
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check_int
 from .errors import Error
 
 
@@ -44,7 +45,7 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     n, d = X.shape
     if n < 2:
         raise Error(f"need at least 2 samples to fit, got {n}")
-    k = int(n_components)
+    k = check_int(n_components, "n_components")
     if not 1 <= k <= min(n, d):
         raise Error(
             f"n_components must be in 1..min(n_samples, n_features)="

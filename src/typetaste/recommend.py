@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .domain import (
     ALL_TYPES,
+    COLUMN_CATEGORIES,
     ENJOYMENT_THRESHOLD,
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
     SurveyRecord,
     check_int,
+    check_real,
     type_code,
 )
 from .errors import Error
@@ -83,7 +84,7 @@ def _items(
     support: Sequence[int],
     order: Sequence[int],
 ) -> tuple[RecommendationItem, ...]:
-    genres, categories = catalog.genres, catalog.column_categories
+    genres, categories = catalog.genres, COLUMN_CATEGORIES
     return tuple(
         RecommendationItem(
             genre=genres[g],
@@ -167,11 +168,9 @@ def recommend_for_user(
     user with no ratings at all gets exactly the type-profile ranking.
     ``top_n`` must be an integer; a negative one gives no items.
     """
-    if isinstance(blend_weight, bool) or not isinstance(blend_weight, Real):
-        raise Error(f"blend weight must be a real number, got {type(blend_weight).__name__}")
-    if not 0.0 <= blend_weight <= 1.0:
+    weight = check_real(blend_weight, "blend weight")
+    if not 0.0 <= weight <= 1.0:
         raise Error(f"blend weight must be within 0..1, got {blend_weight}")
-    blend_weight = float(blend_weight)
     catalog = profiles.catalog
     if len(user.ratings) != len(catalog):
         raise Error(f"user has {len(user.ratings)} ratings, catalog has {len(catalog)} genres")
@@ -180,7 +179,7 @@ def recommend_for_user(
     mean = profiles.mean[row]
     ratings = np.asarray(user.ratings, dtype=np.float64)
     tried = ratings > 0
-    scores = np.where(tried, blend_weight * ratings + (1.0 - blend_weight) * mean, mean)
+    scores = np.where(tried, weight * ratings + (1.0 - weight) * mean, mean)
     # Where the type has no rater the user's own rating stands, 0 if untried.
     scores = np.where(np.isnan(scores), ratings, scores)
     offered = np.flatnonzero(~((ratings >= 1) & (ratings <= DISLIKE_MAX)))

@@ -30,7 +30,13 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from typetaste.domain import ALL_TYPES, ENJOYMENT_THRESHOLD, Dataset, default_catalog
+from typetaste.domain import (
+    ALL_TYPES,
+    CATEGORY_SIZES,
+    ENJOYMENT_THRESHOLD,
+    Dataset,
+    default_catalog,
+)
 from typetaste.errors import Error
 from typetaste.ingest import planted_means
 
@@ -428,16 +434,18 @@ def ranking_oracle(catalog, profile, category=None, ratings=None, blend_weight=0
     a user's ``ratings``, a genre they rated 1 or 2 is left out, and one they
     rated higher scores ``blend_weight`` toward their own rating (their
     rating alone where the type has no rater).  Fewer than 5 raters is low
-    support.  Sorted by descending score, then genre name.
+    support.  Sorted by descending score, then genre name.  Each column's
+    category is found by walking ``CATEGORY_SIZES``, the survey design.
     """
     mean, _, support = profile
     items = []
-    column = 0
-    for name, genres in catalog.categories:
-        for genre in genres:
-            g, column = column, column + 1
-            if category not in (None, name):
-                continue
+    stop = 0
+    for name, size in CATEGORY_SIZES.items():
+        start, stop = stop, stop + size
+        if category not in (None, name):
+            continue
+        for g in range(start, stop):
+            genre = catalog.genres[g]
             type_mean = float(mean[g])
             score = 0.0 if math.isnan(type_mean) else type_mean
             if ratings is not None and ratings[g] > 0:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from oracles import dataset_to_csv_oracle, generate_synthetic_oracle
+from test_acceptance import _mask_time_column
 from typetaste import ingest, kmeans, pca
 from typetaste.cli import run
 from typetaste.domain import default_catalog, save_catalog
@@ -467,6 +468,18 @@ class TestRecommend:
         assert capsys.readouterr().out == default
 
 
+@pytest.mark.parametrize(
+    "command", [["cluster"], ["evaluate"], ["scatter", "--with-clusters"]], ids=" ".join
+)
+def test_restarts_past_bound_is_one_error_line(small_csv, capsys, command):
+    """A restart count past ``MAX_RESTARTS`` fails before any fit."""
+    restarts = "1" + "0" * 30
+    assert run([*command, "--input", str(small_csv), "--restarts", restarts]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"typetaste: error: restarts must be at most 1000000, got {restarts}\n"
+
+
 class TestPcaClusters:
     def test_cluster_and_scatter_fit_the_projection(self, tmp_path, small_csv):
         X = ingest.load_dataset(small_csv).feature_matrix()
@@ -575,3 +588,99 @@ def test_version_flag(capsys):
 def test_no_command_is_usage_error(capsys):
     assert run([]) == 2
     capsys.readouterr()
+
+
+# Genre names of the custom catalog by the default name they replace: one the
+# csv module must quote, accented ones and names whose order differs by case.
+CUSTOM_NAMES = {
+    "music_00": 'Jazz, Swing & "Big Band"',
+    "music_01": "Électronique",
+    "music_02": "chanson française",
+    "music_03": "ambient",
+    "music_04": "Blues",
+    "fiction_00": "zeta",
+    "fiction_01": "Zeta",
+    "games_00": "b",
+    "games_01": "B",
+}
+
+
+@pytest.fixture(scope="module", params=["default", "custom"])
+def pinned_survey(request, tmp_path_factory):
+    """The catalog option (none for the default catalog) and the seed-7
+    paper-frequencies survey generated with it."""
+    directory = tmp_path_factory.mktemp(request.param)
+    catalog = []
+    if request.param == "custom":
+        path = directory / "catalog.csv"
+        save_catalog(default_catalog(), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [[category, CUSTOM_NAMES.get(genre, genre)] for category, genre in csv.reader(fh)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        catalog = ["--catalog", str(path)]
+    survey = directory / "survey.csv"
+    assert run(["synth", "--paper-frequencies", "--seed", "7", *catalog, "-o", str(survey)]) == 0
+    return request.param, catalog, survey
+
+
+class TestOutputPinned:
+    """Length and sha256 of stdout for valid inputs, on the default catalog
+    and on a custom catalog file, recorded before the catalog's category
+    layout became a constant of the package."""
+
+    PAIRS = {
+        "default": ("Psychology", "Religion & Spirituality"),
+        "custom": ('Jazz, Swing & "Big Band"', "Électronique"),
+    }
+    ARGS = {
+        "synth": [],
+        "validate": [],
+        "recommend": ["--type", "intp", "--format", "json"],
+        "recommend-all": ["--type", "intp", "--format", "json", "--top", "121"],
+        "pairtable": ["--type", "intp"],
+        "evaluate": ["--category", "music", "--restarts", "2"],
+    }
+    PINNED = {
+        ("default", "synth"): (
+            262486, "e887231330965b397da5305c188c67361bef9d37fc42d2414ba83caa3f74e49c"),
+        ("default", "validate"): (
+            58, "9907dc1729c79339183ebd7813123df25d58214596b1486323b44d0b1e8cc773"),
+        ("default", "recommend"): (
+            1637, "5c9702fe03254551201a2312b2b838643066b251b3ef436615cfb9f39ffa18ff"),
+        ("default", "recommend-all"): (
+            19232, "c0fe161bad01bcb8e50cb1fafa72860ee26b1cd84bc8e1e2e33c8a7daa00127d"),
+        ("default", "pairtable"): (
+            202, "02d1993bd536c5cb62c5c1fe46cae6b7b05bac536c0e5254a0e34c9d0a037505"),
+        ("default", "evaluate"): (
+            203, "2b055369009c8d8fc9cd64d5d2db5a2d084b07e57ec6fa7996aecec3b3eace3e"),
+        ("custom", "synth"): (
+            262491, "34535089cfe1a511d25ba33428631e949fda2d91a2f06301a0ae2805b31c20e2"),
+        ("custom", "validate"): (
+            58, "9907dc1729c79339183ebd7813123df25d58214596b1486323b44d0b1e8cc773"),
+        ("custom", "recommend"): (
+            1637, "5c9702fe03254551201a2312b2b838643066b251b3ef436615cfb9f39ffa18ff"),
+        ("custom", "recommend-all"): (
+            19242, "8d161790e5fa7dabe91c21847c1d40678ec6708947464c241b1ee490cd9d9c2e"),
+        ("custom", "pairtable"): (
+            205, "ce4ef4d02986a458ddf1c03fbb09a1638436e9c52922478484d2df9a03869974"),
+        ("custom", "evaluate"): (
+            202, "1a54f019aaf50ff59659c80273a603302d8bdb9d4cca6bdf29f3b23383e80d43"),
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_stdout_bytes_pinned(self, capsys, pinned_survey, command):
+        name, catalog, survey = pinned_survey
+        if command == "synth":
+            argv = ["synth", "--paper-frequencies", "--seed", "7"]
+        else:
+            argv = [command.split("-")[0], "--input", str(survey)]
+        argv += self.ARGS[command] + catalog
+        if command == "pairtable":
+            argv += ["--genre-a", self.PAIRS[name][0], "--genre-b", self.PAIRS[name][1]]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        if command == "evaluate":
+            out = _mask_time_column(out)
+        out = out.encode("utf-8")
+        assert (len(out), hashlib.sha256(out).hexdigest()) == self.PINNED[name, command]

@@ -3,10 +3,15 @@ import re
 import numpy as np
 import pytest
 
+from typetaste.analysis import pair_rating_table
 from typetaste.domain import (
     ALL_TYPES,
     CATEGORY_ORDER,
     CATEGORY_SIZES,
+    CATEGORY_SLICES,
+    COLUMN_CATEGORIES,
+    N_GENRES,
+    PSYCHOLOGY,
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
@@ -18,6 +23,8 @@ from typetaste.domain import (
     type_code,
 )
 from typetaste.errors import Error
+from typetaste.metrics import run_method_comparison
+from typetaste.recommend import build_profiles, recommend_for_type
 
 
 class TestMbtiType:
@@ -79,19 +86,18 @@ class TestRatingScale:
 class TestGenreCatalog:
     def test_default_catalog_shape(self):
         cat = default_catalog()
-        assert len(cat) == 121
+        assert len(cat) == N_GENRES == 121
         assert cat.category_names == CATEGORY_ORDER
-        for name, genres in cat.categories:
-            assert len(genres) == CATEGORY_SIZES[name]
-        sizes = [len(genres) for _, genres in cat.categories]
-        assert sizes == [30, 34, 25, 21, 11]
+        sizes = [len(cat.genres_in(name)) for name in cat.category_names]
+        assert sizes == [CATEGORY_SIZES[name] for name in CATEGORY_ORDER] == [30, 34, 25, 21, 11]
+        assert type(cat.genres) is tuple
 
     def test_default_catalog_named_genres(self):
         cat = default_catalog()
         assert "Psychology" in cat
         assert "Religion & Spirituality" in cat
-        assert cat.column_categories[cat.index("Psychology")] == "nonfiction-books"
-        assert cat.column_categories[cat.index("Religion & Spirituality")] == "nonfiction-books"
+        assert COLUMN_CATEGORIES[cat.index("Psychology")] == "nonfiction-books"
+        assert COLUMN_CATEGORIES[cat.index("Religion & Spirituality")] == "nonfiction-books"
 
     def test_genre_names_unique(self):
         cat = default_catalog()
@@ -101,9 +107,10 @@ class TestGenreCatalog:
         cat = default_catalog()
         for name in cat.category_names:
             sl = cat.category_slice(name)
+            assert sl == CATEGORY_SLICES[name]
             for genre in cat.genres_in(name):
                 assert sl.start <= cat.index(genre) < sl.stop
-                assert cat.column_categories[cat.index(genre)] == name
+                assert COLUMN_CATEGORIES[cat.index(genre)] == name
         # slices tile the full column range
         stops = [cat.category_slice(n) for n in cat.category_names]
         assert stops[0].start == 0
@@ -120,28 +127,77 @@ class TestGenreCatalog:
         with pytest.raises(Error, match="^unknown category: 'poetry'$"):
             default_catalog().category_slice("poetry")
 
-    def test_wrong_category_order_rejected(self):
-        cat = default_catalog()
-        backwards = tuple(reversed(cat.categories))
-        message = f"^categories must be exactly {re.escape(str(CATEGORY_ORDER))} in order, got "
-        with pytest.raises(Error, match=message + re.escape(str(CATEGORY_ORDER[::-1])) + "$"):
-            GenreCatalog(backwards)
+    @staticmethod
+    def _catalog_lines(tmp_path):
+        path = tmp_path / "catalog.csv"
+        save_catalog(default_catalog(), path)
+        return path, path.read_text(encoding="utf-8").splitlines()
 
-    def test_wrong_category_size_rejected(self):
-        cat = default_catalog()
-        broken = list(cat.categories)
-        name, genres = broken[2]
-        broken[2] = (name, genres[:-1])
-        with pytest.raises(Error, match="^category 'music' must have 25 genres, got 24$"):
-            GenreCatalog(tuple(broken))
+    def test_wrong_category_order_rejected(self, tmp_path):
+        """Categories out of layout order fail at the first line whose
+        category is not the one the layout puts there."""
+        path, lines = self._catalog_lines(tmp_path)
+        games = CATEGORY_SLICES["video-games"]
+        data = lines[1:]
+        path.write_text("\n".join([lines[0], *data[games], *data[:games.start]]) + "\n")
+        message = "^catalog line 2: expected category 'fiction-books', got 'video-games'$"
+        with pytest.raises(Error, match=message):
+            load_catalog(path)
+
+    def test_wrong_category_size_rejected(self, tmp_path):
+        """A category one genre short fails at the line after its last
+        genre, and a line past the layout fails too; a file that ends early
+        fails on its genre count."""
+        path, lines = self._catalog_lines(tmp_path)
+        last_music = CATEGORY_SLICES["music"].stop  # its index in lines, after the header
+        cases = [
+            (
+                lines[:last_music] + lines[last_music + 1:],
+                "catalog line 90: expected category 'music', got 'movies'",
+            ),
+            (
+                lines + ["video-games,games_11"],
+                "catalog line 123: the layout has only 121 genres",
+            ),
+            (lines[:-1], "a catalog must have 121 genres, got 120"),
+        ]
+        for text_lines, message in cases:
+            path.write_text("\n".join(text_lines) + "\n", encoding="utf-8")
+            with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+                load_catalog(path)
 
     def test_duplicate_genres_rejected(self):
-        cat = default_catalog()
-        broken = list(cat.categories)
-        name, genres = broken[0]
-        broken[0] = (name, ("Psychology",) + genres[1:])
+        genres = list(default_catalog().genres)
+        genres[0] = "Psychology"
         with pytest.raises(Error, match=r"^duplicate genre names: \['Psychology'\]$"):
-            GenreCatalog(tuple(broken))
+            GenreCatalog(genres)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda g: g[:-1], "a catalog must have 121 genres, got 120"),
+            (lambda g: g + ["extra"], "a catalog must have 121 genres, got 122"),
+            (lambda g: g[:3] + [5] + g[4:], "genre names must be strings, got 5"),
+            (lambda g: g[:3] + [["x"]] + g[4:], "genre names must be strings, got ['x']"),
+            (lambda g: g[:3] + [""] + g[4:], "genre names must be non-empty"),
+            (
+                lambda g: [(name, tuple(g[CATEGORY_SLICES[name]])) for name in CATEGORY_ORDER],
+                "a catalog must have 121 genres, got 5",
+            ),
+        ],
+        ids=["short", "long", "int-name", "list-name", "empty-name", "nested-pairs"],
+    )
+    def test_malformed_genres_rejected(self, change, message):
+        with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+            GenreCatalog(change(list(default_catalog().genres)))
+
+    def test_genres_stored_as_tuple(self):
+        """A list of names gives the catalog the same names as a tuple give."""
+        genres = default_catalog().genres
+        from_list = GenreCatalog(list(genres))
+        assert from_list == GenreCatalog(genres) == default_catalog()
+        assert type(from_list.genres) is tuple
+        assert hash(from_list) == hash(default_catalog())
 
     def test_csv_roundtrip(self, tmp_path):
         cat = default_catalog()
@@ -150,13 +206,9 @@ class TestGenreCatalog:
         assert load_catalog(path) == cat
 
     def test_csv_roundtrip_with_awkward_names(self, tmp_path):
-        cat = default_catalog()
-        groups = []
-        for name, genres in cat.categories:
-            if name == "music":
-                genres = ('Jazz, Swing & "Big Band"',) + genres[1:]
-            groups.append((name, genres))
-        awkward = GenreCatalog(tuple(groups))
+        genres = list(default_catalog().genres)
+        genres[CATEGORY_SLICES["music"].start] = 'Jazz, Swing & "Big Band"'
+        awkward = GenreCatalog(genres)
         path = tmp_path / "catalog.csv"
         save_catalog(awkward, path)
         assert load_catalog(path) == awkward
@@ -303,3 +355,36 @@ class TestDataset:
     def test_from_columns_validates(self, ids, codes, ratings, message):
         with pytest.raises(Error, match=f"^{message}$"):
             Dataset.from_columns(default_catalog(), ids, codes, ratings)
+
+
+NAME_LOOKUPS = {
+    "index": (lambda ds, name: ds.catalog.index(name), "genre not in catalog: "),
+    "category_slice": (lambda ds, name: ds.catalog.category_slice(name), "unknown category: "),
+    "recommend_for_type": (
+        lambda ds, name: recommend_for_type(build_profiles(ds), "intp", category=name),
+        "unknown category: ",
+    ),
+    "pair_rating_table": (
+        lambda ds, name: pair_rating_table(ds, "intp", PSYCHOLOGY, name),
+        "genre not in catalog: ",
+    ),
+    "run_method_comparison-methods": (
+        lambda ds, name: run_method_comparison(ds, k=2, methods=[name]),
+        "unknown method ",
+    ),
+    "run_method_comparison-categories": (
+        lambda ds, name: run_method_comparison(ds, k=2, categories=[name]),
+        "unknown category: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [["music"], {"x": 1}, b"music", 3], ids=repr)
+@pytest.mark.parametrize("entry", list(NAME_LOOKUPS))
+def test_names_that_are_not_strings_raise_error(small_dataset, entry, name):
+    """A name of another type, hashable or not, gets the message of an
+    unknown name."""
+    call, prefix = NAME_LOOKUPS[entry]
+    with pytest.raises(Error, match=f"^{re.escape(prefix + repr(name))}"):
+        call(small_dataset, name)
+    assert name not in small_dataset.catalog

@@ -10,6 +10,7 @@ from oracles import dataset_to_csv_oracle, generate_synthetic_oracle, load_datas
 from typetaste.cli import run
 from typetaste.domain import (
     ALL_TYPES,
+    CATEGORY_SLICES,
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
@@ -337,12 +338,9 @@ class TestDatasetCsv:
 
 def _awkward_catalog() -> GenreCatalog:
     """The default catalog with a genre name the csv module must quote."""
-    groups = []
-    for name, genres in default_catalog().categories:
-        if name == "music":
-            genres = ('Jazz, Swing & "Big Band"',) + genres[1:]
-        groups.append((name, genres))
-    return GenreCatalog(tuple(groups))
+    genres = list(default_catalog().genres)
+    genres[CATEGORY_SLICES["music"].start] = 'Jazz, Swing & "Big Band"'
+    return GenreCatalog(genres)
 
 
 class TestSynthAgainstOracles:

@@ -1,4 +1,6 @@
 import json
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from typetaste.kmeans import (
     DEFAULT_MAX_ITERS,
     INIT_KMEANSPP,
     INIT_RANDOM,
+    MAX_RESTARTS,
     ClusteringResult,
     KmeansConfig,
     fit,
@@ -68,6 +71,31 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(Error):
             KmeansConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"restarts": 10**30}, f"restarts must be at most 1000000, got {10**30}"),
+            ({"tol": "x"}, "tol must be a real number, got str"),
+            ({"tol": None}, "tol must be a real number, got NoneType"),
+            ({"tol": True}, "tol must be a real number, got bool"),
+            ({"tol": -1}, "tol must be non-negative, got -1"),
+            ({"tol": float("nan")}, "tol must be non-negative, got nan"),
+        ],
+        ids=["restarts-past-bound", "tol-str", "tol-none", "tol-bool", "tol-negative-int",
+             "tol-nan"],
+    )
+    def test_messages(self, kwargs, message):
+        with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+            KmeansConfig(k=2, **kwargs)
+
+    def test_bounds_accepted(self):
+        """The largest restart count is accepted (no fit is started), and a
+        real ``tol`` is stored as a float."""
+        assert KmeansConfig(k=2, restarts=MAX_RESTARTS).restarts == MAX_RESTARTS
+        for tol in (0, np.float32(0.5), Fraction(1, 4)):
+            config = KmeansConfig(k=2, tol=tol)
+            assert type(config.tol) is float and config.tol == tol
 
     def test_integer_like_counts_stored_as_int(self):
         config = KmeansConfig(

@@ -85,6 +85,8 @@ DEGENERATE = {
     ((10, 4), 0): _COMPONENTS + "4, got 0",
     ((10, 4), 5): _COMPONENTS + "4, got 5",
     ((3, 10), 4): _COMPONENTS + "3, got 4",
+    ((10, 4), 2.5): r"n_components must be an integer, got float",
+    ((10, 4), True): r"n_components must be an integer, got bool",
 }
 
 

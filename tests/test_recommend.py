@@ -8,7 +8,6 @@ import pytest
 from oracles import profiles_oracle, ranking_oracle
 from typetaste.domain import (
     ALL_TYPES,
-    CATEGORY_ORDER,
     CATEGORY_SIZES,
     TYPE_INDEX,
     Dataset,
@@ -341,12 +340,7 @@ class TestNameOrder:
         # reads them as equal (as numpy's <U strings do) ranks them wrongly.
         i, j = sorted((names.index("a\x00"), names.index("a")))
         names[i], names[j] = "a\x00", "a"
-        categories, start = [], 0
-        for category in CATEGORY_ORDER:
-            size = CATEGORY_SIZES[category]
-            categories.append((category, tuple(names[start:start + size])))
-            start += size
-        catalog = GenreCatalog(tuple(categories))
+        catalog = GenreCatalog(names)
         # 121 columns drawn from 12 distinct ones, so most scores tie; every
         # special name shares one column.
         base = rng.integers(0, 7, size=(60, 12))
