@@ -83,12 +83,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         frequencies = ingest.SURVEY_TYPE_COUNTS
     else:
         try:
-            doc = json.loads(read_utf8(args.freq_file))
+            frequencies = json.loads(read_utf8(args.freq_file))
         except json.JSONDecodeError as exc:
             raise Error(f"invalid JSON in {args.freq_file}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise Error("frequency file must be a JSON object of type -> count")
-        frequencies = doc
     catalog = _load_catalog_arg(args)
     config = ingest.SynthConfig(seed=args.seed, frequencies=frequencies, catalog=catalog)
     dataset = ingest.generate_synthetic(config)

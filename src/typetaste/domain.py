@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -79,16 +80,38 @@ RATING_MAX = 6
 ENJOYMENT_THRESHOLD = 4
 
 
-def check_rating(value: int) -> int:
-    """Return ``value`` as a plain int if it is an integer on the 0..6
-    scale; anything else raises :class:`Error`."""
+def check_scale(ratings: np.ndarray) -> None:
+    """Raise :class:`Error` unless the array holds integers (not bools) on the 0..6 scale."""
+    if ratings.size and ratings.dtype.kind not in "iu":
+        raise Error(f"ratings must be integers, got dtype {ratings.dtype}")
+    outside = (ratings < RATING_MIN) | (ratings > RATING_MAX)
+    if outside.any():
+        raise Error(f"rating must be in {RATING_MIN}..{RATING_MAX}, got {ratings[outside][0]}")
+
+
+# Respondent ids are filename- and URL-safe, so CSV never quotes them.  Always
+# matched in full: with ``match``, ``$`` would accept an id ending in a newline.
+RESPONDENT_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
+ID_RULE = f"respondent id must match {RESPONDENT_ID_RE.pattern}"
+
+
+def bad_ids(ids: Sequence) -> np.ndarray:
+    """Mask of the ids that are not strings matching :data:`RESPONDENT_ID_RE` in full."""
+    # Non-empty strings all match when their concatenation does: one match.
+    if {*map(type, ids)} <= {str} and "" not in ids and RESPONDENT_ID_RE.fullmatch("".join(ids)):
+        return np.zeros(len(ids), bool)
+    return np.array([not (isinstance(i, str) and RESPONDENT_ID_RE.fullmatch(i)) for i in ids], bool)
+
+
+def data_matrix(data: np.ndarray) -> np.ndarray:
+    """``data`` as a float64 matrix, samples in rows; anything else raises :class:`Error`."""
     try:
-        v = operator.index(value)
-    except TypeError:
-        raise Error(f"rating must be an integer, got {value!r}") from None
-    if not RATING_MIN <= v <= RATING_MAX:
-        raise Error(f"rating must be in {RATING_MIN}..{RATING_MAX}, got {v}")
-    return v
+        X = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise Error(f"data must be an array of numbers, got {type(data).__name__}") from None
+    if X.ndim != 2:
+        raise Error(f"data must be 2-D, got shape {X.shape}")
+    return X
 
 
 # The five survey categories, in canonical column order, with their sizes.
@@ -130,7 +153,7 @@ class GenreCatalog:
     genres: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        genres = tuple(self.genres)
+        genres = tuple(self.genres) if isinstance(self.genres, Iterable) else ()
         if len(genres) != N_GENRES:
             raise Error(f"a catalog must have {N_GENRES} genres, got {len(genres)}")
         others = [g for g in genres if not isinstance(g, str)]
@@ -282,19 +305,21 @@ def load_catalog(path: str | Path) -> GenreCatalog:
 
 @dataclass(frozen=True)
 class SurveyRecord:
-    """One respondent: id, personality type, and one rating per genre."""
+    """One respondent: id, personality type, and one rating per genre (a tuple of ints)."""
 
     respondent_id: str
     mbti: str
     ratings: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.respondent_id, str) or not self.respondent_id:
-            raise Error("respondent id must be a non-empty string")
+        if bad_ids([self.respondent_id])[0]:
+            raise Error(f"{ID_RULE}, got {self.respondent_id!r}")
         object.__setattr__(self, "mbti", ALL_TYPES[type_code(self.mbti)])
-        object.__setattr__(
-            self, "ratings", tuple(check_rating(r) for r in self.ratings)
-        )
+        ratings = np.asarray(self.ratings)
+        if ratings.ndim != 1:
+            raise Error(f"ratings must be 1-D, got shape {ratings.shape}")
+        check_scale(ratings)
+        object.__setattr__(self, "ratings", tuple(ratings.tolist()))
 
     @classmethod
     def _row(cls, respondent_id: str, mbti: str, ratings: tuple[int, ...]) -> "SurveyRecord":
@@ -316,7 +341,7 @@ def repeated_ids(ids: Sequence[str]) -> np.ndarray:
 class Dataset:
     """An immutable survey table: a catalog plus three row-aligned columns.
 
-    ``respondent_ids`` is a tuple of unique non-empty ids, ``type_codes`` an
+    ``respondent_ids`` is a tuple of unique :data:`RESPONDENT_ID_RE` ids, ``type_codes`` an
     int8 array of :data:`TYPE_INDEX` codes, and ``ratings`` a read-only int8
     (n_respondents, n_genres) matrix of 0..6 ratings in catalog column order.
     :meth:`from_columns` validates and copies the columns;
@@ -331,8 +356,11 @@ class Dataset:
     ratings: np.ndarray
 
     def __init__(self, catalog: GenreCatalog, records: Iterable[SurveyRecord]) -> None:
-        records = tuple(records)
-        rows = list(map(operator.attrgetter("ratings"), records))
+        try:
+            records = tuple(records)
+            rows = list(map(operator.attrgetter("ratings"), records))
+        except (TypeError, AttributeError):
+            raise Error("records must be an iterable of SurveyRecord") from None
         misfits = np.fromiter(map(len, rows), np.intp, len(rows)) != len(catalog)
         if misfits.any():
             rec = records[misfits.argmax()]
@@ -341,14 +369,10 @@ class Dataset:
                 f"catalog has {len(catalog)} genres"
             )
         ids = map(operator.attrgetter("respondent_id"), records)
-        codes = map(TYPE_INDEX.__getitem__, map(operator.attrgetter("mbti"), records))
+        types = map(TYPE_INDEX.__getitem__, map(operator.attrgetter("mbti"), records))
+        codes = np.fromiter(types, np.int8, len(rows))
         ratings = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * len(catalog))
-        self._set_columns(
-            catalog,
-            ids,
-            np.fromiter(codes, np.int8, len(records)),
-            ratings.reshape(len(records), len(catalog)),
-        )
+        self._set_columns(catalog, ids, codes, ratings.reshape(len(rows), len(catalog)))
         self.__dict__["records"] = records
 
     @classmethod
@@ -360,22 +384,20 @@ class Dataset:
         return dataset
 
     def _set_columns(self, catalog, respondent_ids, type_codes, ratings) -> None:
-        ids = tuple(respondent_ids)
+        # A non-iterable stands for one id, which the id rule refuses.
+        ids = tuple(respondent_ids) if isinstance(respondent_ids, Iterable) else (respondent_ids,)
         codes = np.asarray(type_codes)
         matrix = np.asarray(ratings)
-        if set(map(type, ids)) - {str} or "" in ids:
-            raise Error("respondent id must be a non-empty string")
+        bad = bad_ids(ids)
+        if bad.any():
+            raise Error(f"{ID_RULE}, got {ids[bad.argmax()]!r}")
         if codes.shape != (len(ids),) or not np.isin(codes, range(len(ALL_TYPES))).all():
             raise Error(f"type codes must be {len(ids)} indices into ALL_TYPES")
         if matrix.shape != (len(ids), len(catalog)):
             raise Error(
                 f"rating matrix has shape {matrix.shape}, expected ({len(ids)}, {len(catalog)})"
             )
-        if matrix.size and matrix.dtype.kind not in "iu":
-            raise Error(f"ratings must be integers, got dtype {matrix.dtype}")
-        outside = (matrix < RATING_MIN) | (matrix > RATING_MAX)
-        if outside.any():
-            raise Error(f"rating must be in 0..6, got {matrix[outside][0]}")
+        check_scale(matrix)
         repeats = repeated_ids(ids)
         if repeats.any():
             raise Error(f"duplicate respondent id: {ids[repeats.argmax()]!r}")
@@ -409,10 +431,9 @@ class Dataset:
         return dict(zip(self.respondent_ids, range(len(self))))
 
     def record(self, respondent_id: str) -> SurveyRecord:
-        try:
-            row = self._row_of[respondent_id]
-        except KeyError:
-            raise Error(f"no such respondent: {respondent_id!r}") from None
+        row = self._row_of.get(respondent_id) if isinstance(respondent_id, str) else None
+        if row is None:
+            raise Error(f"no such respondent: {respondent_id!r}")
         return SurveyRecord._row(
             respondent_id, ALL_TYPES[self.type_codes[row]], tuple(self.ratings[row].tolist())
         )
@@ -430,6 +451,8 @@ class Dataset:
 
     def restrict_types(self, types: Iterable[str]) -> "Dataset":
         """Subset with only the given personality types, preserving row order."""
-        keep = np.isin(self.type_codes, [type_code(t) for t in types])
+        # A non-iterable stands for one code, which type_code refuses.
+        codes = [type_code(t) for t in (types if isinstance(types, Iterable) else [types])]
+        keep = np.isin(self.type_codes, codes)
         ids = compress(self.respondent_ids, keep.tolist())
         return Dataset.from_columns(self.catalog, ids, self.type_codes[keep], self.ratings[keep])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 import zlib
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -27,12 +26,14 @@ import numpy as np
 
 from .domain import (
     ALL_TYPES,
+    ID_RULE,
     PSYCHOLOGY,
     RATING_MAX,
     RELIGION_SPIRITUALITY,
     TYPE_INDEX,
     Dataset,
     GenreCatalog,
+    bad_ids,
     check_int,
     check_seed,
     default_catalog,
@@ -42,11 +43,6 @@ from .domain import (
     type_code,
 )
 from .errors import Error
-
-# Respondent ids must be filename- and URL-safe so downstream CSV never needs
-# quoting in the id column.  Always matched in full: with ``match``, ``$``
-# would also accept an id that ends in a newline.
-RESPONDENT_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 # Per-type respondent counts of the 1020-entry reference survey, the profile
 # behind the ``synth --paper-frequencies`` flag.  Insertion order is
@@ -119,10 +115,12 @@ class SynthConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_seed(self.seed))
         given = self.frequencies
-        if isinstance(given, np.ndarray):
-            given = zip(ALL_TYPES, given.tolist(), strict=True)
+        if isinstance(given, np.ndarray) and given.shape == (len(ALL_TYPES),):
+            given = dict(zip(ALL_TYPES, given.tolist()))
+        if not isinstance(given, Mapping):
+            raise Error(f"frequencies must map types to counts, got {type(given).__name__}")
         counts: dict[str, int] = {}
-        for key, value in dict(given).items():
+        for key, value in given.items():
             t = ALL_TYPES[type_code(key)]
             v = check_int(value, f"count for {t}")
             if v < 0:
@@ -201,8 +199,8 @@ def _read_row(
     if len(row) != expected:
         raise Error(f"line {lineno}: expected {expected} columns, got {len(row)}")
     rid = row[0]
-    if not RESPONDENT_ID_RE.fullmatch(rid):
-        raise Error(f"line {lineno}: respondent id must match [A-Za-z0-9_-]+, got {rid!r}")
+    if bad_ids([rid])[0]:
+        raise Error(f"line {lineno}: {ID_RULE}, got {rid!r}")
     if repeated:
         raise Error(f"line {lineno}: duplicate respondent id {rid!r}")
     try:
@@ -284,10 +282,9 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
     types = map(str.lower, map(itemgetter(-1), heads))
     codes = np.fromiter(map(TYPE_INDEX.get, types, repeat(-1)), np.int8, n)
     repeated = repeated_ids(ids)
-    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.fullmatch, ids)), bool, n)
     # The row rule raises the first error in file order, or reads a row whose
     # odd cells are valid (such as "06").
-    for i in np.flatnonzero(~fits | ~id_ok | repeated | (codes < 0)).tolist():
+    for i in np.flatnonzero(~fits | bad_ids(ids) | repeated | (codes < 0)).tolist():
         line = numbers[i]
         codes[i], ratings[i] = _read_row(line + 1, cells(line), catalog, bool(repeated[i]))
     if error is not None:
@@ -298,15 +295,11 @@ def load_dataset(path: str | Path, catalog: GenreCatalog | None = None) -> Datas
 def dataset_to_csv(dataset: Dataset) -> str:
     """Serialize a dataset to its canonical CSV text (LF line endings).
 
-    Every id must match ``[A-Za-z0-9_-]+`` in full, so no data row needs
-    quoting.  The header goes through the csv module, as genre names may
-    need quoting; each row's ratings are the ``,d`` pairs of one byte
-    array, so no rating becomes a Python object.
+    A dataset's ids match :data:`~typetaste.domain.RESPONDENT_ID_RE` in
+    full, so no data row needs quoting.  The header goes through the csv
+    module, as genre names may need quoting; each row's ratings are the
+    ``,d`` pairs of one byte array, so no rating becomes a Python object.
     """
-    ids = dataset.respondent_ids
-    id_ok = np.fromiter(map(bool, map(RESPONDENT_ID_RE.fullmatch, ids)), bool, len(ids))
-    if not id_ok.all():
-        raise Error(f"respondent id not serializable: {ids[id_ok.argmin()]!r}")
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(_dataset_header(dataset.catalog))
     n, width = dataset.ratings.shape
@@ -314,7 +307,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
     pairs[:, 1::2] = dataset.ratings + ord("0")
     tails = map(bytes.decode, pairs.view(f"S{2 * width}").ravel().tolist())
     types = map(ALL_TYPES.__getitem__, dataset.type_codes.tolist())
-    return "".join([buf.getvalue(), *map("{},{}{}\n".format, ids, types, tails)])
+    return "".join([buf.getvalue(), *map("{},{}{}\n".format, dataset.respondent_ids, types, tails)])
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

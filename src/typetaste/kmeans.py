@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import check_int, check_real, check_seed
+from .domain import check_int, check_real, check_seed, data_matrix
 from .errors import Error
 
 INIT_KMEANSPP = "kmeans++"
@@ -53,7 +53,7 @@ class KmeansConfig:
             object.__setattr__(self, name, value)
         if self.restarts > MAX_RESTARTS:
             raise Error(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
-        if self.init not in (INIT_KMEANSPP, INIT_RANDOM):
+        if not isinstance(self.init, str) or self.init not in (INIT_KMEANSPP, INIT_RANDOM):
             raise Error(f"init must be {INIT_KMEANSPP!r} or {INIT_RANDOM!r}, got {self.init!r}")
         if not check_real(self.tol, "tol") >= 0:
             raise Error(f"tol must be non-negative, got {self.tol}")
@@ -77,13 +77,6 @@ class ClusteringResult:
         return self.centroids.shape[0]
 
 
-def _as_matrix(data: np.ndarray) -> np.ndarray:
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise Error(f"data must be 2-D, got shape {X.shape}")
-    return X
-
-
 def _sq_distances(X: np.ndarray, row_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances, clipped at zero.  ``row_norms`` is
     ``(X * X).sum(axis=1)``, computed once per Lloyd run by the caller.
@@ -99,6 +92,15 @@ def _sq_distances(X: np.ndarray, row_norms: np.ndarray, centroids: np.ndarray) -
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _seeding(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, np.random.Generator]:
+    """The data matrix, centroid count and generator of a seeding, each checked."""
+    X = data_matrix(data)
+    k = check_int(k, "k")
+    if not 1 <= k <= X.shape[0]:
+        raise Error(f"cannot seed {k} centroids from {X.shape[0]} points")
+    return X, k, np.random.default_rng(check_seed(seed))
+
+
 def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Distance-squared-weighted seeding: the first centroid is a uniform row,
     each later one is drawn with probability proportional to the squared
@@ -108,11 +110,8 @@ def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     uniform draw among not-yet-chosen rows, so k distinct indices always come
     back while distinct rows exist.
     """
-    X = _as_matrix(data)
+    X, k, rng = _seeding(data, k, seed)
     n = X.shape[0]
-    if k > n:
-        raise Error(f"cannot seed {k} centroids from {n} points")
-    rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
     while len(chosen) < k:
@@ -129,13 +128,8 @@ def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def init_random(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k distinct data rows drawn uniformly without replacement."""
-    X = _as_matrix(data)
-    n = X.shape[0]
-    if k > n:
-        raise Error(f"cannot seed {k} centroids from {n} points")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=k, replace=False)
-    return X[idx].copy()
+    X, k, rng = _seeding(data, k, seed)
+    return X[rng.choice(X.shape[0], size=k, replace=False)].copy()
 
 
 def _repair_empty(
@@ -202,7 +196,7 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
     the within-cluster squared-distance total never increases across
     iterations.
     """
-    X = _as_matrix(data)
+    X = data_matrix(data)
     start = time.perf_counter()
     centroids = np.array(init_centroids, dtype=np.float64, copy=True)
     if centroids.ndim != 2 or centroids.shape[1] != X.shape[1]:
@@ -236,12 +230,6 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
     )
 
 
-def _seed_centroids(X: np.ndarray, config: KmeansConfig, seed: int) -> np.ndarray:
-    if config.init == INIT_RANDOM:
-        return init_random(X, config.k, seed)
-    return init_kmeanspp(X, config.k, seed)
-
-
 def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
     """Cluster the rows of ``data`` per ``config``: seeded restarts, keep the
     lowest-inertia run.
@@ -249,15 +237,13 @@ def fit(data: np.ndarray, config: KmeansConfig) -> ClusteringResult:
     Restart seeds are spawned from ``config.seed``, so the whole fit is a pure
     function of (data, config).
     """
-    X = _as_matrix(data)
+    X = data_matrix(data)
     start = time.perf_counter()
-    if config.k > X.shape[0]:
-        raise Error(f"cannot fit {config.k} clusters to {X.shape[0]} points")
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts, np.uint64)
+    seeding = init_random if config.init == INIT_RANDOM else init_kmeanspp
     best: ClusteringResult | None = None
     for restart_seed in seeds:
-        centroids = _seed_centroids(X, config, int(restart_seed))
-        result = lloyd(X, centroids, config)
+        result = lloyd(X, seeding(X, config.k, int(restart_seed)), config)
         if best is None or result.inertia < best.inertia:
             best = result
     return replace(best, elapsed=time.perf_counter() - start)

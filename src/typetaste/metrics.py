@@ -34,14 +34,14 @@ import numpy as np
 
 from . import kmeans as km
 from . import pca
-from .domain import Dataset
+from .domain import Dataset, check_seed, data_matrix
 from .errors import Error
 
 
-def _first_appearance_codes(labels: Sequence) -> tuple[np.ndarray, int]:
+def _first_appearance_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Each label's rank among the distinct labels in order of first
     appearance, and the number of distinct labels."""
-    _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     return rank[inverse], first.size
@@ -51,12 +51,15 @@ def contingency(labels_true: Sequence, labels_pred: Sequence) -> np.ndarray:
     """The int64 joint count matrix of two equal-length label sequences:
     rows index true classes, columns index clusters, both in order of first
     appearance in the label sequences."""
-    if len(labels_true) != len(labels_pred):
-        raise Error(f"label sequences differ in length: {len(labels_true)} vs {len(labels_pred)}")
-    if len(labels_true) == 0:
+    true, pred = np.asarray(labels_true), np.asarray(labels_pred)
+    if true.ndim != 1 or pred.ndim != 1:
+        raise Error(f"labels must be 1-D sequences, got shapes {true.shape} and {pred.shape}")
+    if len(true) != len(pred):
+        raise Error(f"label sequences differ in length: {len(true)} vs {len(pred)}")
+    if len(true) == 0:
         raise Error("cannot build a contingency table from zero labels")
-    rows, n_rows = _first_appearance_codes(labels_true)
-    cols, n_cols = _first_appearance_codes(labels_pred)
+    rows, n_rows = _first_appearance_codes(true)
+    cols, n_cols = _first_appearance_codes(pred)
     cells = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
     return cells.astype(np.int64, copy=False).reshape(n_rows, n_cols)
 
@@ -286,9 +289,7 @@ def silhouette_samples(data: np.ndarray, assignments: Sequence) -> np.ndarray:
     give each distance the bits of scipy's ``cdist``, and the sums those of
     ``cdist(X, X) @ members``.
     """
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise Error(f"data must be 2-D, got shape {X.shape}")
+    X = data_matrix(data)
     n = X.shape[0]
     labels = np.asarray(assignments)
     if labels.ndim not in (1, 2) or labels.shape[-1] != n:
@@ -437,9 +438,8 @@ def run_method_comparison(
         if method in resolved:
             raise Error(f"repeated method: {method!r}")
         resolved.append(method)
-    cell_seeds = iter(
-        np.random.SeedSequence(seed).generate_state(len(categories) * len(resolved), np.uint64)
-    )
+    n_cells = len(categories) * len(resolved)
+    cell_seeds = iter(np.random.SeedSequence(check_seed(seed)).generate_state(n_cells, np.uint64))
     rows: list[tuple[str, EvaluationReport]] = []
     for category in categories:
         X = dataset.feature_matrix(category)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import check_int
+from .domain import check_int, data_matrix
 from .errors import Error
 
 
@@ -39,9 +39,7 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
     n_features)``.  Covariance eigenvalues are clipped at zero, so collinear
     data reports exactly zero variance for the flat directions.
     """
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2:
-        raise Error(f"data must be 2-D, got shape {X.shape}")
+    X = data_matrix(data)
     n, d = X.shape
     if n < 2:
         raise Error(f"need at least 2 samples to fit, got {n}")
@@ -68,7 +66,7 @@ def fit_pca(data: np.ndarray, n_components: int) -> PcaModel:
 
 def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Map the rows of ``data`` into the fitted component space."""
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
+    X = data_matrix(data)
+    if X.shape[1] != model.n_features:
         raise Error(f"expected (n, {model.n_features}) data, got shape {np.shape(data)}")
     return (X - model.mean) @ model.components.T

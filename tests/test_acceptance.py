@@ -404,25 +404,31 @@ def test_11_seeded_determinism(compact_csv, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def run_in_child(argv: list[str], threads: str = "1") -> bytes:
+    """The stdout of the CLI run on ``argv`` in a child interpreter at
+    ``threads`` OpenBLAS threads.  OpenBLAS reads its thread count when it
+    loads, so a count can only be set for a new process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from typetaste.cli import main; main()", *argv],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc.stdout
+
+
 @criterion("csv-report-across-blas-threads")
 def test_12_csv_report_same_on_one_and_two_blas_threads(full_survey_csv, tmp_path):
     """On two OpenBLAS threads a product may sum in another order, which
     moves the last bits of some silhouettes in ``evaluate --format json``.
     The default CSV report, with its time column masked, stays the same.
-    OpenBLAS reads its thread count when it loads, so each count runs in a
-    child interpreter."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    Each thread count runs in a child interpreter."""
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"report-{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-c", "from typetaste.cli import main; main()", "evaluate",
-             "--input", str(full_survey_csv), "--restarts", "2", "--seed", "0", "-o", str(out)],
-            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_in_child(["evaluate", "--input", str(full_survey_csv), "--restarts", "2",
+                      "--seed", "0", "-o", str(out)], threads)
         reports.append(_mask_time_column(out.read_text(encoding="utf-8")))
     assert reports[0] == reports[1]

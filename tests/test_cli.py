@@ -1,11 +1,14 @@
 import csv
 import hashlib
 import json
+import platform
+import re
 
+import numpy as np
 import pytest
 
 from oracles import dataset_to_csv_oracle, generate_synthetic_oracle
-from test_acceptance import _mask_time_column
+from test_acceptance import _mask_time_column, run_in_child
 from typetaste import ingest, kmeans, pca
 from typetaste.cli import run
 from typetaste.domain import default_catalog, save_catalog
@@ -98,13 +101,14 @@ class TestSynth:
             ('{"intp": 3, "INTP": 2}', "repeated type in frequency table: intp"),
             ('{"intp": 3, "wxyz": 2}', "not a valid personality code: 'wxyz'"),
             ('{"intp": 0}', "frequency table must have at least one respondent"),
+            ("[3, 2]", "frequencies must map types to counts, got list"),
             # Without the size check numpy still refuses these two before it
             # allocates, so a regression cannot exhaust memory here.  Counts
             # from about 10**7 to 10**15 would allocate and stay untested.
             (f'{{"intp": {10**30}}}', f"frequency table too large: {10**30} {TOO_LARGE}"),
             (f'{{"intp": {10**17}}}', f"frequency table too large: {10**17} {TOO_LARGE}"),
         ],
-        ids=["negative", "repeated", "unknown", "empty", "1e30", "1e17"],
+        ids=["negative", "repeated", "unknown", "empty", "array", "1e30", "1e17"],
     )
     def test_bad_count_is_data_error(self, tmp_path, capsys, doc, message):
         freq = tmp_path / "freq.json"
@@ -684,3 +688,122 @@ class TestOutputPinned:
             out = _mask_time_column(out)
         out = out.encode("utf-8")
         assert (len(out), hashlib.sha256(out).hexdigest()) == self.PINNED[name, command]
+
+
+def _blas_and_cpu() -> dict | None:
+    """numpy's BLAS build and the CPU's SIMD features as numpy detects them:
+    what decides the last bits of a BLAS or LAPACK result.  None where
+    numpy cannot report them as data."""
+    try:
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        simd = config["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):
+        return None
+    return {
+        "blas": [blas.get("name"), blas.get("version"), blas.get("openblas configuration")],
+        "simd": simd,
+        "machine": platform.machine(),
+    }
+
+
+def _fmt3(cell) -> str:
+    """A number at the 3 decimals of the CSV report."""
+    return f"{round(float(cell), 3):g}"
+
+
+def _rounded(command: str, out: bytes) -> bytes:
+    """The part of an output that does not depend on the BLAS build: the
+    3-decimal report for ``evaluate``, the assignments for ``cluster``, and
+    every cell at 3 decimals for ``scatter``."""
+    if command == "evaluate":
+        doc = json.loads(out)
+        lines = ["method,time,homo,compl,v-meas,ARI,AMI,Silhouette"]
+        for category, rows in doc["categories"].items():
+            lines.append(f"# category={category}")
+            for row in rows:
+                scores = [_fmt3(v) for name, v in row.items() if name not in ("method", "time")]
+                lines.append(",".join([row["method"], "_", *scores]))
+        return "\n".join(lines).encode()
+    if command == "cluster":
+        doc = json.loads(out)
+        return json.dumps([doc["k"], doc["assignments"]]).encode()
+    header, *rows = out.decode().splitlines()
+    lines = [header]
+    for row in rows:
+        cells = row.split(",")
+        dims = len(cells) - 3
+        lines.append(",".join([*map(_fmt3, cells[:dims]), *cells[dims:]]))
+    return "\n".join(lines).encode()
+
+
+def _mask_elapsed(out: bytes) -> bytes:
+    """JSON output with its wall-clock fields set to 0."""
+    return re.sub(rb'"(time|elapsed_seconds)": [^,\n]+', rb'"\1": 0', out)
+
+
+@pytest.fixture(scope="module")
+def child_reports(tmp_path_factory):
+    """The output of each pinned command on the seed-7 paper-frequencies
+    survey, run in a child interpreter at one OpenBLAS thread, with its
+    wall-clock fields masked."""
+    survey = tmp_path_factory.mktemp("child") / "survey.csv"
+    assert run(["synth", "--paper-frequencies", "--seed", "7", "-o", str(survey)]) == 0
+    return {
+        command: _mask_elapsed(run_in_child([command.split("-")[0], "--input", str(survey), *args]))
+        for command, args in TestChildReportsPinned.ARGS.items()
+    }
+
+
+class TestChildReportsPinned:
+    """Length and sha256 of the JSON reports and the scatter export, each
+    run in a child interpreter at ``OPENBLAS_NUM_THREADS=1``, recorded before
+    the data-matrix rule of kmeans, metrics and pca moved to one place.
+
+    Two comparisons.  ``test_rounded_pinned`` always runs: it compares the
+    3-decimal report, the assignments and the 3-decimal scatter cells.
+    ``test_full_precision_pinned`` compares the full-precision bytes, which
+    depend on the CPU's BLAS and LAPACK kernels, so it runs only where
+    numpy's BLAS build and the CPU features match :attr:`RECORDED_ON`, and
+    is skipped, with that reason, anywhere else.
+    """
+
+    ARGS = {
+        "evaluate": ["--format", "json"],
+        "cluster": ["--format", "json"],
+        "scatter-clusters": ["--with-clusters"],
+    }
+    RECORDED_ON = {
+        "blas": [
+            "scipy-openblas",
+            "0.3.31.188.0",
+            "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+        ],
+        "simd": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+        "machine": "x86_64",
+    }
+    FULL = {
+        "evaluate": (4691, "1b246b120d1cd9e77738925f3db0e2c1087d71426edc811db1b4c83455aca7a8"),
+        "cluster": (7580, "51bcb105a2670e0f1ece5f819970cc3cd3c41b7cdb33dc5fae99aa3a7d7bf036"),
+        "scatter-clusters": (
+            48416, "0ae4d097e6d454b9ce8d4edbbbd219f7d9742e880479a3ec2c9576bd97205264"),
+    }
+    # The evaluate view is the bytes of the CSV report with its time masked.
+    ROUNDED = {
+        "evaluate": (845, "8eb51afc7fa5dc317d47acd32740605a87756c298332ddaca409d10d2020e85e"),
+        "cluster": (3368, "d7a407444d9b4ff645bb06b38ec85dd8184b0feff4f3972733cb4804ee626a3a"),
+        "scatter-clusters": (
+            23045, "25d28962d470d51ccd17c6289c1f407cd53a6f084bbca23426a468d4cdfa43c5"),
+    }
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_rounded_pinned(self, child_reports, command):
+        out = _rounded(command, child_reports[command])
+        assert (len(out), hashlib.sha256(out).hexdigest()) == self.ROUNDED[command]
+
+    @pytest.mark.parametrize("command", list(ARGS))
+    def test_full_precision_pinned(self, child_reports, command):
+        if _blas_and_cpu() != self.RECORDED_ON:
+            pytest.skip("BLAS build or CPU features differ from the recording")
+        out = child_reports[command]
+        assert (len(out), hashlib.sha256(out).hexdigest()) == self.FULL[command]

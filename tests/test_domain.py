@@ -16,14 +16,13 @@ from typetaste.domain import (
     Dataset,
     GenreCatalog,
     SurveyRecord,
-    check_rating,
     default_catalog,
     load_catalog,
     save_catalog,
     type_code,
 )
 from typetaste.errors import Error
-from typetaste.metrics import run_method_comparison
+from typetaste.metrics import contingency, run_method_comparison
 from typetaste.recommend import build_profiles, recommend_for_type
 
 
@@ -64,23 +63,43 @@ class TestMbtiType:
 
 
 class TestRatingScale:
+    """The 0..6 scale, checked on a record's ratings by the same rule as on a
+    dataset's rating matrix."""
+
     def test_numpy_integers_accepted(self):
-        assert check_rating(np.int64(5)) == 5
-        assert type(check_rating(np.int8(0))) is int
+        ratings = SurveyRecord("a", "intp", [np.int64(5), np.int8(0)]).ratings
+        assert ratings == (5, 0)
+        assert all(type(r) is int for r in ratings)
 
     INVALID = {
         -1: r"rating must be in 0\.\.6, got -1",
         7: r"rating must be in 0\.\.6, got 7",
         100: r"rating must be in 0\.\.6, got 100",
-        3.5: r"rating must be an integer, got 3\.5",
-        "3": r"rating must be an integer, got '3'",
-        None: r"rating must be an integer, got None",
+        3.5: r"ratings must be integers, got dtype float64",
+        "3": r"ratings must be integers, got dtype <U1",
+        None: r"ratings must be integers, got dtype object",
     }
 
     @pytest.mark.parametrize("value", list(INVALID))
     def test_invalid_ratings_rejected(self, value):
         with pytest.raises(Error, match=f"^{self.INVALID[value]}$"):
-            check_rating(value)
+            SurveyRecord("a", "intp", (value,))
+        with pytest.raises(Error, match=f"^{self.INVALID[value]}$"):
+            Dataset.from_columns(default_catalog(), ["a"], [0], np.full((1, 121), value))
+
+    @pytest.mark.parametrize(
+        "ratings, message",
+        [
+            ([True] * 121, r"ratings must be integers, got dtype bool"),
+            (5, r"ratings must be 1-D, got shape \(\)"),
+            (None, r"ratings must be 1-D, got shape \(\)"),
+            ([[3] * 121], r"ratings must be 1-D, got shape \(1, 121\)"),
+        ],
+        ids=["bool", "int", "None", "2-D"],
+    )
+    def test_record_ratings_rejected(self, ratings, message):
+        with pytest.raises(Error, match=f"^{message}$"):
+            SurveyRecord("a", "intp", ratings)
 
 
 class TestGenreCatalog:
@@ -261,7 +280,7 @@ class TestSurveyRecord:
             SurveyRecord("a-1", "nope", (0,))
 
     def test_rejects_empty_id(self):
-        with pytest.raises(Error, match="^respondent id must be a non-empty string$"):
+        with pytest.raises(Error, match=r"^respondent id must match \[A-Za-z0-9_-\]\+, got ''$"):
             SurveyRecord("", "intp", (0,))
 
 
@@ -341,15 +360,17 @@ class TestDataset:
              r"rating matrix has shape \(121, 2\), expected \(2, 121\)"),
             (("a", "b"), (0, 16), np.full((2, 121), 3),
              r"type codes must be 2 indices into ALL_TYPES"),
-            (("a", ""), (0, 1), np.full((2, 121), 3), r"respondent id must be a non-empty string"),
+            (("a", ""), (0, 1), np.full((2, 121), 3),
+             r"respondent id must match \[A-Za-z0-9_-\]\+, got ''"),
             (("a", "b"), (0, 1), np.full((2, 121), 7), r"rating must be in 0\.\.6, got 7"),
             (("a", "b"), (0, 1), np.full((2, 121), 2.5),
              r"ratings must be integers, got dtype float64"),
+            (("a", "b"), (0, 1), np.ones((2, 121), bool), r"ratings must be integers, got dtype bool"),
             (("a", "a"), (0, 1), np.full((2, 121), 3), r"duplicate respondent id: 'a'"),
         ],
         ids=[
             "too-few-columns", "transposed", "unknown-type-code", "empty-id",
-            "rating-out-of-range", "float-ratings", "duplicate-id",
+            "rating-out-of-range", "float-ratings", "bool-ratings", "duplicate-id",
         ],
     )
     def test_from_columns_validates(self, ids, codes, ratings, message):
@@ -388,3 +409,64 @@ def test_names_that_are_not_strings_raise_error(small_dataset, entry, name):
     with pytest.raises(Error, match=f"^{re.escape(prefix + repr(name))}"):
         call(small_dataset, name)
     assert name not in small_dataset.catalog
+
+
+ID_ENTRY_POINTS = {
+    "SurveyRecord": lambda cat, rid: SurveyRecord(rid, "intp", (3,) * len(cat)),
+    "from_columns": lambda cat, rid: Dataset.from_columns(
+        cat, ["ok", rid], [0, 1], np.full((2, len(cat)), 3)
+    ),
+    # _row skips the record's own checks, so the dataset's rule is the one hit.
+    "records": lambda cat, rid: Dataset(
+        cat, [SurveyRecord._row(r, "intp", (3,) * len(cat)) for r in ("ok", rid)]
+    ),
+}
+
+
+@pytest.mark.parametrize("rid", ["a b", "x,y", "ab\n", "", 5], ids=repr)
+@pytest.mark.parametrize("entry", list(ID_ENTRY_POINTS))
+def test_bad_ids_refused_with_one_message(entry, rid):
+    """Every in-memory entry point holds an id to the rule of the file
+    format, so a dataset never holds an id it cannot write."""
+    message = f"respondent id must match [A-Za-z0-9_-]+, got {rid!r}"
+    with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+        ID_ENTRY_POINTS[entry](default_catalog(), rid)
+
+
+def test_good_ids_accepted_on_every_entry_point():
+    cat = default_catalog()
+    for call in ID_ENTRY_POINTS.values():
+        call(cat, "Z_9-a")
+
+
+WRONG_KIND = {
+    "GenreCatalog-None": (lambda ds: GenreCatalog(None), "a catalog must have 121 genres, got 0"),
+    "GenreCatalog-5": (lambda ds: GenreCatalog(5), "a catalog must have 121 genres, got 0"),
+    "Dataset-None": (
+        lambda ds: Dataset(ds.catalog, None), "records must be an iterable of SurveyRecord"
+    ),
+    "Dataset-str": (
+        lambda ds: Dataset(ds.catalog, "x"), "records must be an iterable of SurveyRecord"
+    ),
+    "from_columns-None": (
+        lambda ds: Dataset.from_columns(ds.catalog, None, [], np.zeros((0, 121), np.int8)),
+        "respondent id must match [A-Za-z0-9_-]+, got None",
+    ),
+    "record-list": (lambda ds: ds.record(["x"]), "no such respondent: ['x']"),
+    "restrict_types-None": (
+        lambda ds: ds.restrict_types(None), "not a valid personality code: None"
+    ),
+    "restrict_types-5": (lambda ds: ds.restrict_types(5), "not a valid personality code: 5"),
+    "contingency-None": (
+        lambda ds: contingency(None, [0]), "labels must be 1-D sequences, got shapes () and (1,)"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(WRONG_KIND))
+def test_values_of_the_wrong_kind_raise_error(small_dataset, entry):
+    """A value that is not even a sequence gets the message of the rule it
+    breaks, through the same check as any other bad value."""
+    call, message = WRONG_KIND[entry]
+    with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+        call(small_dataset)

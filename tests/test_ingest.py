@@ -316,12 +316,11 @@ class TestDatasetCsv:
         message = r"line 2: respondent id must match [A-Za-z0-9_-]+, got 'ab\n'"
         assert capsys.readouterr().err == f"typetaste: error: {message}\n"
 
-    def test_writer_rejects_id_ending_in_newline(self):
-        dataset = Dataset.from_columns(
-            default_catalog(), ["ab\n"], [0], np.zeros((1, 121), np.int8)
-        )
-        with pytest.raises(Error, match=r"^respondent id not serializable: 'ab\\n'$"):
-            dataset_to_csv(dataset)
+    def test_dataset_refuses_id_ending_in_newline(self):
+        """The writer never meets an id it cannot write: the dataset refuses it."""
+        message = r"^respondent id must match \[A-Za-z0-9_-\]\+, got 'ab\\n'$"
+        with pytest.raises(Error, match=message):
+            Dataset.from_columns(default_catalog(), ["ab\n"], [0], np.zeros((1, 121), np.int8))
 
     def test_load_rejects_short_row(self, tmp_path, small_dataset):
         lines = self._lines(small_dataset)

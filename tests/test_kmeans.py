@@ -160,6 +160,25 @@ class TestInit:
         with pytest.raises(Error, match="^cannot seed 4 centroids from 3 points$"):
             init_random(X, 4, seed=0)
 
+    @pytest.mark.parametrize(
+        "k, seed, message",
+        [
+            (0, 0, "cannot seed 0 centroids from 3 points"),
+            (-1, 0, "cannot seed -1 centroids from 3 points"),
+            (2.5, 0, "k must be an integer, got float"),
+            (True, 0, "k must be an integer, got bool"),
+            (2, -1, "seed must be an unsigned 64-bit integer, got -1"),
+            (2, "x", "seed must be an integer, got str"),
+        ],
+    )
+    def test_seeding_arguments_checked(self, rng, k, seed, message):
+        """Both seedings share one rule: before it, a fractional k seeded
+        ceil(k) centroids and a k below 1 seeded one."""
+        X = rng.normal(size=(3, 2))
+        for init in (init_kmeanspp, init_random):
+            with pytest.raises(Error, match=f"^{re.escape(message)}$"):
+                init(X, k, seed)
+
 
 class TestLloyd:
     def test_unit_square_two_clusters_matches_exhaustive(self):
@@ -315,7 +334,7 @@ class TestFit:
         assert np.mean(smart) <= np.mean(plain)
 
     def test_too_few_points(self, rng):
-        with pytest.raises(Error, match="^cannot fit 5 clusters to 3 points$"):
+        with pytest.raises(Error, match="^cannot seed 5 centroids from 3 points$"):
             fit(rng.normal(size=(3, 2)), KmeansConfig(k=5))
 
     def test_elapsed_positive(self, rng):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from typetaste import pca
+from typetaste import kmeans, pca
 from typetaste.errors import Error
+from typetaste.metrics import silhouette_samples
 
 from oracles import jacobi_eigh_oracle
 
@@ -97,6 +98,22 @@ def test_degenerate_inputs_rejected(shape, k):
         pca.fit_pca(X, k)
 
 
+@pytest.mark.parametrize(
+    "data, name",
+    [("x", "str"), ([["a", "b"]], "list"), ({"x": 1}, "dict"), ([[1], [1, 2]], "list")],
+)
+def test_non_numbers_rejected(data, name):
+    """One data-matrix rule for PCA, k-means and the silhouette."""
+    message = f"^data must be an array of numbers, got {name}$"
+    for call in (
+        lambda: pca.fit_pca(data, 1),
+        lambda: kmeans.fit(data, kmeans.KmeansConfig(k=1)),
+        lambda: silhouette_samples(data, [0, 1]),
+    ):
+        with pytest.raises(Error, match=message):
+            call()
+
+
 def test_non_2d_input_rejected():
     with pytest.raises(Error, match=r"^data must be 2-D, got shape \(5,\)$"):
         pca.fit_pca(np.zeros(5), 1)
@@ -108,5 +125,5 @@ def test_project_rejects_wrong_width(rng):
     model = pca.fit_pca(rng.normal(size=(10, 4)), 2)
     with pytest.raises(Error, match=r"^expected \(n, 4\) data, got shape \(3, 5\)$"):
         pca.project(model, np.zeros((3, 5)))
-    with pytest.raises(Error, match=r"^expected \(n, 4\) data, got shape \(4,\)$"):
+    with pytest.raises(Error, match=r"^data must be 2-D, got shape \(4,\)$"):
         pca.project(model, np.zeros(4))
