@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import ALL_TYPES, RATING_MAX, Dataset, type_code
+from .domain import ALL_TYPES, RATING_MAX, Dataset, float_array, type_code
 from .errors import Error
 from .recommend import ProfileSet
 
@@ -85,7 +85,7 @@ def scatter_to_csv(
     clusters were fitted in.  ``types``, when given, keeps only the point
     rows of those types; centroid rows are always written.
     """
-    Z = np.asarray(coords, dtype=np.float64)
+    Z = float_array(coords, "coordinates")
     if Z.ndim != 2 or Z.shape[1] not in (2, 3):
         raise Error(f"coordinates must be (n, 2) or (n, 3), got {Z.shape}")
     codes = np.asarray(type_codes)

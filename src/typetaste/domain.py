@@ -103,12 +103,18 @@ def bad_ids(ids: Sequence) -> np.ndarray:
     return np.array([not (isinstance(i, str) and RESPONDENT_ID_RE.fullmatch(i)) for i in ids], bool)
 
 
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array of any shape; anything that is not numbers
+    raises :class:`Error`, whose message calls the value ``name``."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise Error(f"{name} must be an array of numbers, got {type(value).__name__}") from None
+
+
 def data_matrix(data: np.ndarray) -> np.ndarray:
     """``data`` as a float64 matrix, samples in rows; anything else raises :class:`Error`."""
-    try:
-        X = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise Error(f"data must be an array of numbers, got {type(data).__name__}") from None
+    X = float_array(data, "data")
     if X.ndim != 2:
         raise Error(f"data must be 2-D, got shape {X.shape}")
     return X
@@ -391,7 +397,11 @@ class Dataset:
         bad = bad_ids(ids)
         if bad.any():
             raise Error(f"{ID_RULE}, got {ids[bad.argmax()]!r}")
-        if codes.shape != (len(ids),) or not np.isin(codes, range(len(ALL_TYPES))).all():
+        if (
+            codes.shape != (len(ids),)
+            or (codes.size and codes.dtype.kind not in "iu")
+            or not np.isin(codes, range(len(ALL_TYPES))).all()
+        ):
             raise Error(f"type codes must be {len(ids)} indices into ALL_TYPES")
         if matrix.shape != (len(ids), len(catalog)):
             raise Error(

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import check_int, check_real, check_seed, data_matrix
+from .domain import check_int, check_real, check_seed, data_matrix, float_array
 from .errors import Error
 
 INIT_KMEANSPP = "kmeans++"
@@ -198,7 +198,7 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
     """
     X = data_matrix(data)
     start = time.perf_counter()
-    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+    centroids = float_array(init_centroids, "centroids").copy()
     if centroids.ndim != 2 or centroids.shape[1] != X.shape[1]:
         raise Error(f"centroids of shape {centroids.shape} do not match data {X.shape}")
     k = centroids.shape[0]

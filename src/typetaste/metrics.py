@@ -8,8 +8,9 @@ logarithms.  Homogeneity, completeness, and V-measure follow the
 conditional-entropy definitions, the adjusted Rand index uses exact integer
 pair counting, and adjusted mutual information subtracts the expected MI of
 random labelings with the same marginals (hypergeometric model) and
-normalizes by ``max(H(classes), H(clusters))``; its log-factorials come
-from scipy, which is imported on the first AMI call and nowhere else.
+normalizes by ``max(H(classes), H(clusters))``; its log-factorials are
+built here, bit for bit those of scipy's ``gammaln``, so the package needs
+numpy only.
 
 The silhouette (Rousseeuw 1987) never holds the n x n distance matrix: it
 builds each point's per-cluster distance sums a block of rows at a time,
@@ -121,6 +122,56 @@ def adjusted_rand(table: np.ndarray) -> float:
     return numerator / denominator
 
 
+# Cephes ``lgam`` (S. Moshier), the routine behind scipy's ``gammaln``:
+# log(sqrt(2 pi)), the x from which it sums Stirling's series instead of
+# taking the log of the product, the coefficients of the series' correction
+# term, and the x from which a three-term correction replaces them.
+_LS2PI = 0.91893853320467274178
+_STIRLING_X = 13
+_STIRLING_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_STIRLING_SHORT_X = 1000
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n as float64, bit for bit
+    ``scipy.special.gammaln(np.arange(n + 1) + 1.0)``.
+
+    A port of Cephes ``lgam`` at x = k + 1, in its branches and its order of
+    operations.  Below x = 13 it is the log of the exact product, which
+    float64 holds exactly.  From x = 13 on it is Stirling's
+    ``(x - 0.5) log x - x + log sqrt(2 pi)`` plus ``polevl(1/x**2, A, 4) / x``
+    below x = 1000 and a three-term series from there.  (Cephes drops the
+    series past x = 10**8, where it is below half an ulp of the sum.)
+
+    The match rests on ``math.log`` and scipy's compiled code calling the
+    same C library ``log``; numpy's ``np.log`` is one ulp off on some
+    values.  ``tests/test_metrics.py`` checks the match wherever scipy is
+    installed.
+    """
+    exact = [math.log(math.factorial(k)) for k in range(min(n + 1, _STIRLING_X - 1))]
+    x = np.arange(_STIRLING_X, n + 2, dtype=np.float64)
+    log_x = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    low = slice(_STIRLING_SHORT_X - _STIRLING_X)
+    high = slice(low.stop, None)
+    poly = _STIRLING_A[0]
+    for coefficient in _STIRLING_A[1:]:
+        poly = poly * p[low] + coefficient
+    q[low] += poly / x[low]
+    q[high] += (
+        (7.9365079365079365079365e-4 * p[high] - 2.7777777777777777777778e-3) * p[high]
+        + 0.0833333333333333333333
+    ) / x[high]
+    return np.concatenate([exact, q])
+
+
 def expected_mutual_information(table: np.ndarray) -> float:
     """Expected MI over random labelings with these exact marginals.
 
@@ -128,12 +179,10 @@ def expected_mutual_information(table: np.ndarray) -> float:
     each cell count given fixed row and column sums, with factorials kept in
     log space for stability.
     """
-    # Imported here so that loading the package does not load scipy.
-    from scipy.special import gammaln
-
     n = int(table.sum())
     col_sums = table.sum(axis=0).tolist()
-    log_fact = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    # The same bits as scipy's gammaln, without importing scipy.
+    log_fact = _log_factorials(n)
     emi = 0.0
     for ai in table.sum(axis=1).tolist():
         if ai == 0:

@@ -744,21 +744,30 @@ def _mask_elapsed(out: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def child_reports(tmp_path_factory):
-    """The output of each pinned command on the seed-7 paper-frequencies
-    survey, run in a child interpreter at one OpenBLAS thread, with its
-    wall-clock fields masked."""
-    survey = tmp_path_factory.mktemp("child") / "survey.csv"
-    assert run(["synth", "--paper-frequencies", "--seed", "7", "-o", str(survey)]) == 0
+    """The output of each pinned command on its seed-7 survey, the paper's
+    type frequencies times the command's scale, run in a child interpreter
+    at one OpenBLAS thread, with its wall-clock fields masked."""
+    directory = tmp_path_factory.mktemp("child")
+    surveys = {}
+    for scale in {scale for scale, _ in TestChildReportsPinned.ARGS.values()}:
+        freq = directory / f"freq-{scale}.json"
+        freq.write_text(json.dumps({t: n * scale for t, n in ingest.SURVEY_TYPE_COUNTS.items()}))
+        surveys[scale] = directory / f"survey-{scale}.csv"
+        argv = ["synth", "--freq-file", str(freq), "--seed", "7", "-o", str(surveys[scale])]
+        assert run(argv) == 0
     return {
-        command: _mask_elapsed(run_in_child([command.split("-")[0], "--input", str(survey), *args]))
-        for command, args in TestChildReportsPinned.ARGS.items()
+        name: _mask_elapsed(
+            run_in_child([name.split("-")[0], "--input", str(surveys[scale]), *args]))
+        for name, (scale, args) in TestChildReportsPinned.ARGS.items()
     }
 
 
 class TestChildReportsPinned:
     """Length and sha256 of the JSON reports and the scatter export, each
-    run in a child interpreter at ``OPENBLAS_NUM_THREADS=1``, recorded before
-    the data-matrix rule of kmeans, metrics and pca moved to one place.
+    run in a child interpreter at ``OPENBLAS_NUM_THREADS=1``.  The seed-7
+    pins were recorded before the data-matrix rule of kmeans, metrics and
+    pca moved to one place, and the 4x ``evaluate`` pin before the
+    expected-MI log-factorials moved from scipy into metrics.
 
     Two comparisons.  ``test_rounded_pinned`` always runs: it compares the
     3-decimal report, the assignments and the 3-decimal scatter cells.
@@ -768,10 +777,13 @@ class TestChildReportsPinned:
     is skipped, with that reason, anywhere else.
     """
 
+    # Each pin's survey scale and command-line arguments.  The 4x survey
+    # (n = 4080) takes the expected-MI log-factorials past x = 1000.
     ARGS = {
-        "evaluate": ["--format", "json"],
-        "cluster": ["--format", "json"],
-        "scatter-clusters": ["--with-clusters"],
+        "evaluate": (1, ["--format", "json"]),
+        "cluster": (1, ["--format", "json"]),
+        "scatter-clusters": (1, ["--with-clusters"]),
+        "evaluate-4x": (4, ["--format", "json", "--restarts", "2"]),
     }
     RECORDED_ON = {
         "blas": [
@@ -787,6 +799,7 @@ class TestChildReportsPinned:
         "cluster": (7580, "51bcb105a2670e0f1ece5f819970cc3cd3c41b7cdb33dc5fae99aa3a7d7bf036"),
         "scatter-clusters": (
             48416, "0ae4d097e6d454b9ce8d4edbbbd219f7d9742e880479a3ec2c9576bd97205264"),
+        "evaluate-4x": (4683, "d1cc74bb40535033c82fab44203a9decfaa8332590789e3b09d1d2bdeea720b6"),
     }
     # The evaluate view is the bytes of the CSV report with its time masked.
     ROUNDED = {
@@ -794,11 +807,12 @@ class TestChildReportsPinned:
         "cluster": (3368, "d7a407444d9b4ff645bb06b38ec85dd8184b0feff4f3972733cb4804ee626a3a"),
         "scatter-clusters": (
             23045, "25d28962d470d51ccd17c6289c1f407cd53a6f084bbca23426a468d4cdfa43c5"),
+        "evaluate-4x": (851, "6d788179328446f183a02f49cf5cfbc5e0c874bc859de927f51da6f3b2408a00"),
     }
 
     @pytest.mark.parametrize("command", list(ARGS))
     def test_rounded_pinned(self, child_reports, command):
-        out = _rounded(command, child_reports[command])
+        out = _rounded(command.split("-")[0], child_reports[command])
         assert (len(out), hashlib.sha256(out).hexdigest()) == self.ROUNDED[command]
 
     @pytest.mark.parametrize("command", list(ARGS))

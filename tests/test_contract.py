@@ -5,10 +5,10 @@ checks that the package raises no other class.
 
 Left out of the table, each for a stated reason:
 
-- calls that start a fit or a synth (``kmeans.fit``, ``lloyd``,
-  ``run_method_comparison``, ``generate_synthetic``, the CLI): their
-  parameters are swept through the configs they are built from, so no fit
-  is sized by a hostile value;
+- calls that start a fit or a synth (``kmeans.fit``, ``run_method_comparison``,
+  ``generate_synthetic``, the CLI, and ``lloyd`` apart from its starting
+  centroids): their parameters are swept through the configs they are built
+  from, so no fit is sized by a hostile value;
 - file paths, which go to ``open``, where an int is a file descriptor;
 - arguments that must be one of the package's own objects, which the
   ``errors`` module docstring places outside the contract.
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from typetaste.analysis import inclination, pair_rating_table
+from typetaste.analysis import inclination, pair_rating_table, scatter_to_csv
 from typetaste.domain import (
     PSYCHOLOGY,
     RELIGION_SPIRITUALITY,
@@ -34,7 +34,7 @@ from typetaste.domain import (
 )
 from typetaste.errors import Error
 from typetaste.ingest import SynthConfig
-from typetaste.kmeans import KmeansConfig, init_kmeanspp, init_random
+from typetaste.kmeans import KmeansConfig, init_kmeanspp, init_random, lloyd
 from typetaste.metrics import contingency, silhouette_samples
 from typetaste.pca import fit_pca, project
 from typetaste.recommend import build_profiles, recommend_for_type, recommend_for_user
@@ -98,6 +98,7 @@ CALLS = {
     "init_random.data": lambda env, v: init_random(v, 2, 0),
     "init_random.k": lambda env, v: init_random(X, v, 0),
     "init_random.seed": lambda env, v: init_random(X, 2, v),
+    "lloyd.init_centroids": lambda env, v: lloyd(X, v, KmeansConfig(k=2)),
     "fit_pca.data": lambda env, v: fit_pca(v, 2),
     "fit_pca.n_components": lambda env, v: fit_pca(X, v),
     "project.data": lambda env, v: project(env.model, v),
@@ -130,6 +131,7 @@ CALLS = {
         env.profiles, "intp", v, RELIGION_SPIRITUALITY
     ),
     "inclination.genre_b": lambda env, v: inclination(env.profiles, "intp", PSYCHOLOGY, v),
+    "scatter_to_csv.coords": lambda env, v: scatter_to_csv(v, LABELS),
 }
 
 

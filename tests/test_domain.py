@@ -360,6 +360,10 @@ class TestDataset:
              r"rating matrix has shape \(121, 2\), expected \(2, 121\)"),
             (("a", "b"), (0, 16), np.full((2, 121), 3),
              r"type codes must be 2 indices into ALL_TYPES"),
+            (("a", "b"), ["1", "2"], np.full((2, 121), 3),
+             r"type codes must be 2 indices into ALL_TYPES"),
+            (("a", "b"), [True, False], np.full((2, 121), 3),
+             r"type codes must be 2 indices into ALL_TYPES"),
             (("a", ""), (0, 1), np.full((2, 121), 3),
              r"respondent id must match \[A-Za-z0-9_-\]\+, got ''"),
             (("a", "b"), (0, 1), np.full((2, 121), 7), r"rating must be in 0\.\.6, got 7"),
@@ -369,7 +373,8 @@ class TestDataset:
             (("a", "a"), (0, 1), np.full((2, 121), 3), r"duplicate respondent id: 'a'"),
         ],
         ids=[
-            "too-few-columns", "transposed", "unknown-type-code", "empty-id",
+            "too-few-columns", "transposed", "unknown-type-code", "string-type-codes",
+            "bool-type-codes", "empty-id",
             "rating-out-of-range", "float-ratings", "bool-ratings", "duplicate-id",
         ],
     )

@@ -1,6 +1,6 @@
 """Every module-level import in the package, the tests and the demos is used,
-starting the CLI loads no scipy, and ``from typetaste import *`` binds every
-name the package exports.
+neither starting the CLI nor a whole ``evaluate`` loads scipy, and
+``from typetaste import *`` binds every name the package exports.
 
 A name an import binds counts as used when it appears as a name anywhere in
 the same file, or when the file lists it in ``__all__``.  ``__future__``
@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import typetaste
+from typetaste.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -59,24 +60,48 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def test_cli_start_loads_no_scipy():
-    """scipy is most of a fresh start's import time; only AMI needs it, and it
-    is imported the first time AMI runs."""
-    script = (
-        "import sys, typetaste.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "from typetaste.metrics import adjusted_mutual_information, contingency\n"
-        "print(round(adjusted_mutual_information(contingency([0, 0, 1, 1], [1, 1, 0, 0])), 9))\n"
-    )
+# A line of child code that prints the scipy modules loaded so far.
+_PRINT_SCIPY = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
+def _child_lines(script: str, *argv: str) -> list[str]:
+    """The stdout lines of ``script`` run in a fresh interpreter on ``argv``."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "1.0"]
+    return proc.stdout.splitlines()
+
+
+def test_cli_start_loads_no_scipy():
+    """scipy is most of a fresh start's import time, and the package needs
+    none of it: not to start the CLI, and not to compute an AMI, whose
+    log-factorials ``metrics`` builds itself."""
+    script = (
+        f"import sys, typetaste.cli\n{_PRINT_SCIPY}\n"
+        "from typetaste.metrics import adjusted_mutual_information, contingency\n"
+        "print(round(adjusted_mutual_information(contingency([0, 0, 1, 1], [1, 1, 0, 0])), 9))\n"
+        f"{_PRINT_SCIPY}\n"
+    )
+    assert _child_lines(script) == ["[]", "1.0", "[]"]
+
+
+def test_evaluate_loads_no_scipy(tmp_path):
+    """A whole ``typetaste evaluate``, AMI included, ends with no scipy module
+    loaded."""
+    survey, report = tmp_path / "survey.csv", tmp_path / "report.csv"
+    assert run(["synth", "--paper-frequencies", "--seed", "7", "-o", str(survey)]) == 0
+    script = (
+        f"import atexit, sys\natexit.register(lambda: {_PRINT_SCIPY})\n"
+        "from typetaste.cli import main\nmain()\n"
+    )
+    argv = ["evaluate", "--input", str(survey), "--category", "music", "--restarts", "1"]
+    assert _child_lines(script, *argv, "-o", str(report)) == ["[]"]
+    assert report.read_text(encoding="utf-8").startswith("method,time,")
 
 
 def test_star_import_binds_every_exported_name():

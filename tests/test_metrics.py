@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from typetaste import ingest, kmeans, metrics, pca
 from typetaste.domain import ALL_TYPES
@@ -207,6 +208,16 @@ class TestExpectedMutualInformation:
             emi = expected_mutual_information(table)
             assert emi >= 0.0
             assert emi <= min(entropy_oracle(a), entropy_oracle(b)) + 1e-9
+
+    @pytest.mark.parametrize("n", [*range(31), 10**6])
+    def test_log_factorials_are_gammaln_bits(self, n):
+        """Each side of Cephes's branch at x = 13 and of its series switch at
+        x = 1000; each entry is built alone, so the n = 10**6 table holds
+        every smaller one as its prefix."""
+        want = gammaln(np.arange(n + 1) + 1.0)
+        got = metrics._log_factorials(n)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 class TestAdjustedMutualInformation:
