@@ -112,6 +112,17 @@ def float_array(value, name: str) -> np.ndarray:
         raise Error(f"{name} must be an array of numbers, got {type(value).__name__}") from None
 
 
+def integral_scale(X: np.ndarray) -> float | None:
+    """``max|x|`` over the entries of the float array ``X`` when every entry
+    is an integer (0 for an empty array), or ``None`` when one is not: a
+    fraction, a NaN or an infinity.  Exact-arithmetic paths take it to check
+    that their integer sums stay within their float type's significand."""
+    lo, hi = float(X.min(initial=0.0)), float(X.max(initial=0.0))
+    if not np.isfinite([lo, hi]).all() or not np.array_equal(X, np.rint(X)):
+        return None
+    return max(hi, -lo)
+
+
 def data_matrix(data: np.ndarray) -> np.ndarray:
     """``data`` as a float64 matrix, samples in rows; anything else raises :class:`Error`."""
     X = float_array(data, "data")
@@ -450,7 +461,10 @@ class Dataset:
 
     def rating_matrix(self, dtype=np.int64) -> np.ndarray:
         """Full (n_respondents, n_genres) rating matrix as a new array."""
-        return self.ratings.astype(dtype)
+        try:
+            return self.ratings.astype(dtype)
+        except (TypeError, ValueError):
+            raise Error(f"dtype must be a numpy dtype, got {type(dtype).__name__}") from None
 
     def feature_matrix(self, category: str | None = None) -> np.ndarray:
         """Float rating matrix, optionally restricted to one category's columns."""

@@ -5,6 +5,11 @@ k distinct rows.  A fit clusters exactly the rows it is given; a caller that
 wants clusters in a PCA space projects first.  Fits restart from several
 seeds and keep the lowest inertia.  All randomness flows through one u64
 seed, so identical inputs give identical results.
+
+On integer data small enough for float32 (see :func:`_exact_float32`), the
+kmeans++ distances and the centroid sums are float32 products: their
+partial sums are integers below 2**24, so they are exact in any summation
+order and every result has the bits of the float64 route it replaces.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import check_int, check_real, check_seed, data_matrix, float_array
+from .domain import check_int, check_real, check_seed, data_matrix, float_array, integral_scale
 from .errors import Error
 
 INIT_KMEANSPP = "kmeans++"
@@ -29,6 +34,8 @@ DEFAULT_TOL = 1e-6
 DEFAULT_RESTARTS = 10
 # A fit draws all its restart seeds as one u64 array: 8 MB at this bound.
 MAX_RESTARTS = 10**6
+# float32 holds every integer up to 2**24 exactly.
+_FLOAT32_EXACT = 2.0**24
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,21 @@ def _sq_distances(X: np.ndarray, row_norms: np.ndarray, centroids: np.ndarray) -
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _exact_float32(X: np.ndarray) -> np.ndarray | None:
+    """``X`` as float32 when its entries are integers with
+    ``max|x| ** 2 * d`` and ``max|x| * n`` both below 2**24, else ``None``.
+
+    Within the first bound every partial sum of a dot product of two rows
+    is an integer below 2**24; within the second so is every partial sum of
+    a column over any set of rows.  float32 holds them all exactly.
+    """
+    n, d = X.shape
+    scale = integral_scale(X)
+    if scale is None or not (scale * scale * d < _FLOAT32_EXACT and scale * n < _FLOAT32_EXACT):
+        return None
+    return X.astype(np.float32)
+
+
 def _seeding(data: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, int, np.random.Generator]:
     """The data matrix, centroid count and generator of a seeding, each checked."""
     X = data_matrix(data)
@@ -109,11 +131,26 @@ def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     When every remaining distance is zero (duplicated points), falls back to a
     uniform draw among not-yet-chosen rows, so k distinct indices always come
     back while distinct rows exist.
+
+    Each new distance column is ``((X - y) ** 2).sum(axis=1)``.  On data
+    within :func:`_exact_float32`'s bounds it is taken as
+    ``(|x|^2 + |y|^2) - 2 x.y`` with a float32 product instead: the same
+    exact integers, so every draw is the same.
     """
     X, k, rng = _seeding(data, k, seed)
     n = X.shape[0]
+    X32 = _exact_float32(X)
+    row_norms = None if X32 is None else np.einsum("ij,ij->i", X, X)
+
+    def distances(i: int) -> np.ndarray:
+        if X32 is None:
+            return ((X - X[i]) ** 2).sum(axis=1)
+        d2 = row_norms + row_norms[i]
+        d2 -= 2.0 * (X32 @ X32[i])
+        return d2
+
     chosen = [int(rng.integers(n))]
-    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    d2 = distances(chosen[0])
     while len(chosen) < k:
         total = float(d2.sum())
         if total > 0.0:
@@ -122,7 +159,7 @@ def init_kmeanspp(data: np.ndarray, k: int, seed: int) -> np.ndarray:
             remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
             idx = int(rng.choice(remaining))
         chosen.append(idx)
-        d2 = np.minimum(d2, ((X - X[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, distances(idx))
     return X[np.asarray(chosen)].copy()
 
 
@@ -167,19 +204,31 @@ def _repair_empty(
 
 
 def _mean_update(
-    X: np.ndarray, labels: np.ndarray, counts: np.ndarray, fallback: np.ndarray
+    X: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    fallback: np.ndarray,
+    X32: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-cluster means of the rows of ``X``; an empty cluster keeps its
     ``fallback`` row.
 
-    One weighted bincount over the flattened (label, column) cell index adds
-    each cluster's rows in row order, as ``np.add.at`` would, so the sums are
-    bit-identical to that sequential update for float data too.
+    ``X32`` is ``X`` as :func:`_exact_float32` returns it.  When given, the
+    sums are one float32 product ``onehot(labels) @ X32``: exact integers in
+    any summation order.  Otherwise one weighted bincount over the flattened
+    (label, column) cell index adds each cluster's rows in row order, as
+    ``np.add.at`` would, so the sums are bit-identical to that sequential
+    update for float data too.  Either way they are divided in float64.
     """
     k = counts.shape[0]
-    d = X.shape[1]
-    cells = ((labels * d)[:, None] + np.arange(d)).ravel()
-    sums = np.bincount(cells, weights=X.ravel(), minlength=k * d).reshape(k, d)
+    n, d = X.shape
+    if X32 is not None:
+        onehot = np.zeros((k, n), np.float32)
+        onehot[labels, np.arange(n)] = 1.0
+        sums = (onehot @ X32).astype(np.float64)
+    else:
+        cells = ((labels * d)[:, None] + np.arange(d)).ravel()
+        sums = np.bincount(cells, weights=X.ravel(), minlength=k * d).reshape(k, d)
     out = fallback.copy()
     filled = counts > 0
     out[filled] = sums[filled] / counts[filled, None]
@@ -202,6 +251,7 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
     if centroids.ndim != 2 or centroids.shape[1] != X.shape[1]:
         raise Error(f"centroids of shape {centroids.shape} do not match data {X.shape}")
     k = centroids.shape[0]
+    X32 = _exact_float32(X)
     row_norms = (X * X).sum(axis=1)
     rows = np.arange(X.shape[0])
     iterations = 0
@@ -211,7 +261,7 @@ def lloyd(data: np.ndarray, init_centroids: np.ndarray, config: KmeansConfig) ->
         d2min = d2[rows, labels]
         counts = np.bincount(labels, minlength=k)
         _repair_empty(X, centroids, labels, d2min, counts)
-        updated = _mean_update(X, labels, counts, fallback=centroids)
+        updated = _mean_update(X, labels, counts, fallback=centroids, X32=X32)
         movement = float(np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max())
         centroids = updated
         iterations += 1

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import kmeans as km
 from . import pca
-from .domain import Dataset, check_seed, data_matrix
+from .domain import Dataset, check_seed, data_matrix, integral_scale
 from .errors import Error
 
 
@@ -281,8 +281,8 @@ def _distance_sums(X: np.ndarray, memberships: Sequence[np.ndarray]) -> list[np.
     sums = [np.empty((n, w.shape[1])) for w in weights]
     blocks = _row_blocks(n)
     block = np.empty((max(stop - start for start, stop in blocks), n))
-    scale = np.abs(X).max(initial=0.0)
-    integral = np.array_equal(X, np.rint(X)) and 4.0 * d * scale * scale < 2.0**53
+    scale = integral_scale(X)
+    integral = scale is not None and 4.0 * d * scale * scale < 2.0**53
     if integral:
         right = np.empty((d + 2, n))
         np.multiply(X.T, -2.0, out=right[:d])

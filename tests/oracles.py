@@ -10,7 +10,9 @@ sums behind the silhouette come from scipy's full n x n ``cdist`` matrix,
 the route the package took before it built them in row blocks.  The Lloyd
 reference uses the same distance expression as the library but the
 plainest route for everything else (full recomputation each round,
-one-row-at-a-time ``np.add.at`` sums).
+one-row-at-a-time ``np.add.at`` sums), and the kmeans++ reference takes
+every distance column as ``((X - y) ** 2).sum``, where the library uses a
+float32 product on small integer data.
 The survey oracles read, write, tally and average one record at a time, as
 the package did before it held the survey as columns, and the generator
 oracle draws one block of normals per type, as the package did before it
@@ -191,6 +193,28 @@ def best_partition_sse_oracle(data, k) -> float:
             sse += float(((members - center) ** 2).sum())
         best = min(best, sse)
     return best
+
+
+def kmeanspp_oracle(data, k: int, seed: int) -> np.ndarray:
+    """kmeans++ seeding with float64 distance columns ``((X - y) ** 2).sum``
+    and the library's generator calls: a uniform first row, each later row
+    drawn with probability proportional to its squared distance to the
+    nearest row chosen so far, and a uniform draw among the rows not yet
+    chosen once every distance is zero."""
+    X = np.asarray(data, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.choice(np.setdiff1d(np.arange(n), np.asarray(chosen))))
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((X - X[idx]) ** 2).sum(axis=1))
+    return X[np.asarray(chosen)]
 
 
 def lloyd_oracle(data, init_centroids, max_iters: int, tol: float):

@@ -84,6 +84,7 @@ CALLS = {
         env.catalog, ["a", "b"], [0, 1], v
     ),
     "Dataset.record": lambda env, v: env.dataset.record(v),
+    "Dataset.rating_matrix": lambda env, v: env.dataset.rating_matrix(v),
     "Dataset.feature_matrix": lambda env, v: env.dataset.feature_matrix(v),
     "Dataset.restrict_types": lambda env, v: env.dataset.restrict_types(v),
     "SynthConfig.seed": lambda env, v: SynthConfig(seed=v),

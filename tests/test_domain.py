@@ -17,6 +17,7 @@ from typetaste.domain import (
     GenreCatalog,
     SurveyRecord,
     default_catalog,
+    integral_scale,
     load_catalog,
     save_catalog,
     type_code,
@@ -100,6 +101,25 @@ class TestRatingScale:
     def test_record_ratings_rejected(self, ratings, message):
         with pytest.raises(Error, match=f"^{message}$"):
             SurveyRecord("a", "intp", ratings)
+
+
+@pytest.mark.parametrize(
+    "values, scale",
+    [
+        ([[0.0, 6.0], [3.0, 1.0]], 6.0),
+        ([[-7.0, 2.0]], 7.0),
+        ([[-0.0]], 0.0),
+        (np.zeros((0, 3)), 0.0),
+        ([[1.0, 2.5]], None),
+        ([[1.0, np.nan]], None),
+        ([[np.inf, 1.0]], None),
+        ([[-np.inf]], None),
+    ],
+    ids=["ratings", "negative", "negative-zero", "empty", "fraction", "nan", "inf", "-inf"],
+)
+def test_integral_scale(values, scale):
+    """The one rule by which the silhouette and k-means choose an exact path."""
+    assert integral_scale(np.asarray(values, dtype=np.float64)) == scale
 
 
 class TestGenreCatalog:

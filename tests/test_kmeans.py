@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from typetaste import kmeans, pca
+from typetaste import ingest, kmeans, pca
+from typetaste.domain import CATEGORY_ORDER
 from typetaste.errors import Error
 from typetaste.kmeans import (
     DEFAULT_MAX_ITERS,
@@ -20,7 +21,7 @@ from typetaste.kmeans import (
     lloyd,
 )
 
-from oracles import best_partition_sse_oracle, lloyd_oracle
+from oracles import best_partition_sse_oracle, kmeanspp_oracle, lloyd_oracle
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -290,6 +291,96 @@ class TestLloydMatchesOracle:
         X = survey_dataset.feature_matrix("video-games")
         result = self._check(X, np.repeat(X[:1], 16, axis=0))
         assert len(set(result.assignments)) == 16
+
+
+def bound_edge(n, d, scale, seed=0):
+    """Random integer (n, d) data in [-scale, scale] with both extremes present."""
+    X = np.random.default_rng(seed).integers(-scale, scale + 1, size=(n, d)).astype(np.float64)
+    X[0, 0], X[-1, -1] = scale, -scale
+    return X
+
+
+# (n, d, max|x|) just inside and just past each float32 bound:
+# max|x| ** 2 * d < 2**24 and max|x| * n < 2**24.
+INSIDE_BOUNDS = [(50, 4, 2047), (4097, 1, 4095)]
+PAST_BOUNDS = [(50, 4, 2048), (50, 1, 4096), (4098, 1, 4095)]
+
+
+class TestExactFloat32:
+    """On small integer data kmeans++ and the centroid sums take float32
+    products; they must give the float64 route's bits exactly."""
+
+    @pytest.fixture(scope="class")
+    def survey7(self):
+        return ingest.generate_synthetic(ingest.SynthConfig(seed=7))
+
+    @pytest.mark.parametrize("category", [*CATEGORY_ORDER, None], ids=[*CATEGORY_ORDER, "all"])
+    def test_kmeanspp_matches_oracle_on_survey(self, survey7, category):
+        X = survey7.feature_matrix(category)
+        assert kmeans._exact_float32(X) is not None
+        for seed in range(50):
+            assert np.array_equal(init_kmeanspp(X, 16, seed), kmeanspp_oracle(X, 16, seed))
+
+    def test_kmeanspp_duplicates_take_uniform_fallback(self):
+        # Three distinct rows and k = 6: once all three are chosen, every
+        # distance is zero and the rest are drawn uniformly.
+        X = np.repeat([[0.0, 1.0], [3.0, 3.0], [6.0, 0.0]], 4, axis=0)
+        assert kmeans._exact_float32(X) is not None
+        for seed in range(20):
+            centroids = init_kmeanspp(X, 6, seed)
+            assert np.array_equal(centroids, kmeanspp_oracle(X, 6, seed))
+            assert len(np.unique(centroids, axis=0)) == 3
+
+    @pytest.mark.parametrize("n, d, scale", INSIDE_BOUNDS + PAST_BOUNDS)
+    def test_kmeanspp_at_bounds(self, n, d, scale):
+        X = bound_edge(n, d, scale)
+        exact = kmeans._exact_float32(X)
+        assert (exact is not None) == ((n, d, scale) in INSIDE_BOUNDS)
+        for seed in range(5):
+            assert np.array_equal(init_kmeanspp(X, 8, seed), kmeanspp_oracle(X, 8, seed))
+
+    def _both_paths(self, X, labels, k, fallback):
+        counts = np.bincount(labels, minlength=k)
+        general = kmeans._mean_update(X, labels, counts, fallback)
+        exact = kmeans._mean_update(X, labels, counts, fallback, X32=kmeans._exact_float32(X))
+        sums = np.zeros((k, X.shape[1]))
+        np.add.at(sums, labels, X)
+        expected = fallback.copy()
+        expected[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        assert np.array_equal(general, expected)
+        assert np.array_equal(exact, expected)
+        return exact
+
+    def test_mean_update_with_empty_clusters(self, survey7):
+        X = survey7.feature_matrix("music")
+        labels = np.random.default_rng(3).choice([0, 2, 5], size=X.shape[0])
+        fallback = np.arange(6 * X.shape[1], dtype=np.float64).reshape(6, -1) / 7.0
+        means = self._both_paths(X, labels, 6, fallback)
+        assert np.array_equal(means[[1, 3, 4]], fallback[[1, 3, 4]])
+
+    def test_mean_update_at_row_sum_bound(self):
+        # 4097 rows of 4095 add up to 2**24 - 1, the largest sum that
+        # max|x| * n < 2**24 admits.
+        n, scale = 4097, 4095
+        X = np.full((n, 1), float(scale))
+        means = self._both_paths(X, np.zeros(n, np.int64), 2, np.zeros((2, 1)))
+        assert means[0, 0] == scale
+        X[:10] = -scale
+        labels = np.zeros(n, np.int64)
+        labels[:10] = 2
+        means = self._both_paths(X, labels, 4, np.full((4, 1), 0.25))
+        assert means[0, 0] == scale and means[2, 0] == -scale
+
+    @pytest.mark.parametrize("n, d, scale", INSIDE_BOUNDS + PAST_BOUNDS)
+    def test_lloyd_matches_oracle_at_bounds(self, n, d, scale):
+        X = bound_edge(n, d, scale, seed=1)
+        start = init_kmeanspp(X, 6, 0)
+        config = KmeansConfig(k=6)
+        result = lloyd(X, start, config)
+        labels, centroids, inertia, iterations = lloyd_oracle(X, start, config.max_iters, config.tol)
+        assert np.array_equal(result.assignments, labels)
+        assert np.array_equal(result.centroids, centroids)
+        assert (result.inertia, result.iterations) == (inertia, iterations)
 
 
 class TestFit:
