@@ -3,14 +3,14 @@ method-comparison report that ties clustering and evaluation together.
 
 Every agreement score takes the int64 count matrix that :func:`contingency`
 builds from two label sequences, such as a dataset's ``type_codes`` and a
-fit's assignments.  All entropies and mutual information use natural
-logarithms.  Homogeneity, completeness, and V-measure follow the
+fit's assignments, and raises :class:`Error` for a table that is not a 2-D
+array of non-negative integers.  All entropies and mutual information use
+natural logarithms.  Homogeneity, completeness, and V-measure follow the
 conditional-entropy definitions, the adjusted Rand index uses exact integer
 pair counting, and adjusted mutual information subtracts the expected MI of
 random labelings with the same marginals (hypergeometric model) and
-normalizes by ``max(H(classes), H(clusters))``; its log-factorials are
-built here, bit for bit those of scipy's ``gammaln``, so the package needs
-numpy only.
+normalizes by ``max(H(classes), H(clusters))``; its log-factorials come
+from ``math.lgamma``, so the package needs numpy only.
 
 The silhouette (Rousseeuw 1987) never holds the n x n distance matrix: it
 builds each point's per-cluster distance sums a block of rows at a time,
@@ -65,6 +65,18 @@ def contingency(labels_true: Sequence, labels_pred: Sequence) -> np.ndarray:
     return cells.astype(np.int64, copy=False).reshape(n_rows, n_cols)
 
 
+def _count_table(table: np.ndarray) -> np.ndarray:
+    """``table`` as an array, when it is a 2-D array of non-negative integer
+    counts such as :func:`contingency` builds; anything else raises :class:`Error`."""
+    try:
+        counts = np.asarray(table)
+    except (TypeError, ValueError):  # ragged rows
+        counts = None
+    if counts is None or counts.dtype.kind not in "iu" or counts.ndim != 2 or (counts < 0).any():
+        raise Error("a count table must be a 2-D array of non-negative integers")
+    return counts
+
+
 def _entropy(sums: np.ndarray) -> float:
     p = sums[sums > 0] / sums.sum()
     return float(-(p * np.log(p)).sum())
@@ -72,6 +84,7 @@ def _entropy(sums: np.ndarray) -> float:
 
 def mutual_information(table: np.ndarray) -> float:
     """MI between the two labelings, in nats; never negative."""
+    table = _count_table(table)
     n = int(table.sum())
     rows, cols = np.nonzero(table)
     nij = table[rows, cols].astype(np.float64)
@@ -89,6 +102,7 @@ def homogeneity_completeness_v(table: np.ndarray) -> tuple[float, float, float]:
     homogeneous, so that edge scores 1.  Completeness is symmetric, and
     V-measure is 0 when both are 0.
     """
+    table = _count_table(table)
     h_classes = _entropy(table.sum(axis=1))
     h_clusters = _entropy(table.sum(axis=0))
     mi = mutual_information(table)
@@ -108,6 +122,7 @@ def adjusted_rand(table: np.ndarray) -> float:
     index coincide (for example both labelings put everything in one group)
     the score is defined as 1.
     """
+    table = _count_table(table)
     n = int(table.sum())
     if n < 2:
         raise Error(f"adjusted Rand needs at least 2 samples, got {n}")
@@ -122,54 +137,9 @@ def adjusted_rand(table: np.ndarray) -> float:
     return numerator / denominator
 
 
-# Cephes ``lgam`` (S. Moshier), the routine behind scipy's ``gammaln``:
-# log(sqrt(2 pi)), the x from which it sums Stirling's series instead of
-# taking the log of the product, the coefficients of the series' correction
-# term, and the x from which a three-term correction replaces them.
-_LS2PI = 0.91893853320467274178
-_STIRLING_X = 13
-_STIRLING_A = (
-    8.11614167470508450300e-4,
-    -5.95061904284301438324e-4,
-    7.93650340457716943945e-4,
-    -2.77777777730099687205e-3,
-    8.33333333333331927722e-2,
-)
-_STIRLING_SHORT_X = 1000
-
-
 def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n as float64, bit for bit
-    ``scipy.special.gammaln(np.arange(n + 1) + 1.0)``.
-
-    A port of Cephes ``lgam`` at x = k + 1, in its branches and its order of
-    operations.  Below x = 13 it is the log of the exact product, which
-    float64 holds exactly.  From x = 13 on it is Stirling's
-    ``(x - 0.5) log x - x + log sqrt(2 pi)`` plus ``polevl(1/x**2, A, 4) / x``
-    below x = 1000 and a three-term series from there.  (Cephes drops the
-    series past x = 10**8, where it is below half an ulp of the sum.)
-
-    The match rests on ``math.log`` and scipy's compiled code calling the
-    same C library ``log``; numpy's ``np.log`` is one ulp off on some
-    values.  ``tests/test_metrics.py`` checks the match wherever scipy is
-    installed.
-    """
-    exact = [math.log(math.factorial(k)) for k in range(min(n + 1, _STIRLING_X - 1))]
-    x = np.arange(_STIRLING_X, n + 2, dtype=np.float64)
-    log_x = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=x.size)
-    q = (x - 0.5) * log_x - x + _LS2PI
-    p = 1.0 / (x * x)
-    low = slice(_STIRLING_SHORT_X - _STIRLING_X)
-    high = slice(low.stop, None)
-    poly = _STIRLING_A[0]
-    for coefficient in _STIRLING_A[1:]:
-        poly = poly * p[low] + coefficient
-    q[low] += poly / x[low]
-    q[high] += (
-        (7.9365079365079365079365e-4 * p[high] - 2.7777777777777777777778e-3) * p[high]
-        + 0.0833333333333333333333
-    ) / x[high]
-    return np.concatenate([exact, q])
+    """log(k!) for k = 0..n as float64: the C library's ``lgamma`` at k + 1."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
 
 
 def expected_mutual_information(table: np.ndarray) -> float:
@@ -179,9 +149,9 @@ def expected_mutual_information(table: np.ndarray) -> float:
     each cell count given fixed row and column sums, with factorials kept in
     log space for stability.
     """
+    table = _count_table(table)
     n = int(table.sum())
     col_sums = table.sum(axis=0).tolist()
-    # The same bits as scipy's gammaln, without importing scipy.
     log_fact = _log_factorials(n)
     emi = 0.0
     for ai in table.sum(axis=1).tolist():
@@ -219,6 +189,7 @@ def adjusted_mutual_information(table: np.ndarray) -> float:
     perfect match; both-sides-degenerate tables (one class, one cluster)
     score 1 by convention.
     """
+    table = _count_table(table)
     n = int(table.sum())
     if n < 2:
         raise Error(f"adjusted MI needs at least 2 samples, got {n}")

@@ -3,7 +3,8 @@
 Each oracle takes a different computational route than the library code it
 checks: entropy-based scores are recomputed from conditional entropies over
 probability tables, the pair-counting index from explicit pair enumeration,
-expected MI from exhaustive permutation averaging, eigendecomposition from
+expected MI from exhaustive permutation averaging (and, for large n, the
+closed form with scipy's ``gammaln`` log-factorials), eigendecomposition from
 cyclic Jacobi rotations, and silhouettes from a direct O(n^2) loop.  Two
 references must match the library bit for bit.  The per-cluster distance
 sums behind the silhouette come from scipy's full n x n ``cdist`` matrix,
@@ -31,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
+from scipy.special import gammaln
 
 from typetaste.domain import (
     ALL_TYPES,
@@ -142,6 +144,39 @@ def expected_mi_permutation_oracle(labels_a, labels_b) -> float:
         total += mutual_information_oracle(labels_a, permuted)
         count += 1
     return total / count
+
+
+def expected_mi_gammaln_oracle(table) -> float:
+    """Expected MI of a count table by the closed-form hypergeometric sum,
+    with scipy's ``gammaln`` table of log-factorials.
+
+    The package's loop over (row, column) pairs with scipy's log-factorials
+    in place of its own; the reference for tables far too large for the
+    permutation oracle.
+    """
+    n = int(table.sum())
+    log_fact = gammaln(np.arange(n + 1) + 1.0)
+    emi = 0.0
+    for ai in table.sum(axis=1).tolist():
+        for bj in table.sum(axis=0).tolist():
+            lo, hi = max(1, ai + bj - n), min(ai, bj)
+            if ai == 0 or bj == 0 or hi < lo:
+                continue
+            nij = np.arange(lo, hi + 1, dtype=np.int64)
+            log_p = (
+                log_fact[ai]
+                + log_fact[bj]
+                + log_fact[n - ai]
+                + log_fact[n - bj]
+                - log_fact[n]
+                - log_fact[nij]
+                - log_fact[ai - nij]
+                - log_fact[bj - nij]
+                - log_fact[n - ai - bj + nij]
+            )
+            terms = (nij / n) * (np.log(nij) + math.log(n) - math.log(ai) - math.log(bj))
+            emi += float((terms * np.exp(log_p)).sum())
+    return max(emi, 0.0)
 
 
 def silhouette_oracle(data, labels) -> float:

@@ -3,12 +3,14 @@ import hashlib
 import json
 import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import dataset_to_csv_oracle, generate_synthetic_oracle
 from test_acceptance import _mask_time_column, run_in_child
+import typetaste
 from typetaste import ingest, kmeans, pca
 from typetaste.cli import run
 from typetaste.domain import default_catalog, save_catalog
@@ -589,6 +591,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("typetaste ")
 
 
+def test_version_matches_pyproject():
+    """The package and its build metadata name one release.  ``tomllib``
+    is new in Python 3.11, so the version line is read with a regex."""
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"), re.M)
+    assert match is not None
+    assert typetaste.__version__ == match.group(1)
+
+
 def test_no_command_is_usage_error(capsys):
     assert run([]) == 2
     capsys.readouterr()
@@ -766,8 +777,8 @@ class TestChildReportsPinned:
     """Length and sha256 of the JSON reports and the scatter export, each
     run in a child interpreter at ``OPENBLAS_NUM_THREADS=1``.  The seed-7
     pins were recorded before the data-matrix rule of kmeans, metrics and
-    pca moved to one place, and the 4x ``evaluate`` pin before the
-    expected-MI log-factorials moved from scipy into metrics.
+    pca moved to one place, and the full-precision ``evaluate`` pins when
+    the expected-MI log-factorials came to be taken from ``math.lgamma``.
 
     Two comparisons.  ``test_rounded_pinned`` always runs: it compares the
     3-decimal report, the assignments and the 3-decimal scatter cells.
@@ -778,7 +789,7 @@ class TestChildReportsPinned:
     """
 
     # Each pin's survey scale and command-line arguments.  The 4x survey
-    # (n = 4080) takes the expected-MI log-factorials past x = 1000.
+    # (n = 4080) pins the report at a larger n.
     ARGS = {
         "evaluate": (1, ["--format", "json"]),
         "cluster": (1, ["--format", "json"]),
@@ -795,11 +806,11 @@ class TestChildReportsPinned:
         "machine": "x86_64",
     }
     FULL = {
-        "evaluate": (4691, "1b246b120d1cd9e77738925f3db0e2c1087d71426edc811db1b4c83455aca7a8"),
+        "evaluate": (4692, "21261a7da84b842236989d904135f735e2153db279a1b9e442e580a7575da06d"),
         "cluster": (7580, "51bcb105a2670e0f1ece5f819970cc3cd3c41b7cdb33dc5fae99aa3a7d7bf036"),
         "scatter-clusters": (
             48416, "0ae4d097e6d454b9ce8d4edbbbd219f7d9742e880479a3ec2c9576bd97205264"),
-        "evaluate-4x": (4683, "d1cc74bb40535033c82fab44203a9decfaa8332590789e3b09d1d2bdeea720b6"),
+        "evaluate-4x": (4682, "f95b2ffc8baeb22f30db3a8d2fecd4f261087da2ae2f934d752524576cd766c9"),
     }
     # The evaluate view is the bytes of the CSV report with its time masked.
     ROUNDED = {

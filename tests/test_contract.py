@@ -35,7 +35,15 @@ from typetaste.domain import (
 from typetaste.errors import Error
 from typetaste.ingest import SynthConfig
 from typetaste.kmeans import KmeansConfig, init_kmeanspp, init_random, lloyd
-from typetaste.metrics import contingency, silhouette_samples
+from typetaste.metrics import (
+    adjusted_mutual_information,
+    adjusted_rand,
+    contingency,
+    expected_mutual_information,
+    homogeneity_completeness_v,
+    mutual_information,
+    silhouette_samples,
+)
 from typetaste.pca import fit_pca, project
 from typetaste.recommend import build_profiles, recommend_for_type, recommend_for_user
 
@@ -57,6 +65,25 @@ LABELS = [0, 0, 1, 1]
 
 
 KMEANS_FIELDS = ("k", "init", "max_iters", "tol", "seed", "restarts")
+
+# The agreement scores, each of one count table.
+SCORES = (
+    mutual_information,
+    homogeneity_completeness_v,
+    adjusted_rand,
+    expected_mutual_information,
+    adjusted_mutual_information,
+)
+
+# Count tables that are arrays of numbers but not of non-negative integer
+# counts, beside the hostile values above.
+BAD_TABLES = {
+    "float": np.array([[2.0, 1.0], [0.0, 3.0]]),
+    "negative count": np.array([[2, -1], [1, 3]]),
+    "1-D": np.array([2, 1, 3]),
+    "bool": np.array([[True, False], [False, True]]),
+    "ragged": [[2, 1], [3]],
+}
 
 # One entry per (callable, argument): a function of the valid values in
 # ``env`` and the hostile value ``v``.
@@ -105,6 +132,7 @@ CALLS = {
     "project.data": lambda env, v: project(env.model, v),
     "contingency.labels_true": lambda env, v: contingency(v, [0, 1]),
     "contingency.labels_pred": lambda env, v: contingency([0, 1], v),
+    **{f"{score.__name__}.table": lambda env, v, score=score: score(v) for score in SCORES},
     "silhouette_samples.data": lambda env, v: silhouette_samples(v, LABELS),
     "silhouette_samples.assignments": lambda env, v: silhouette_samples(X, v),
     "recommend_for_type.mbti": lambda env, v: recommend_for_type(env.profiles, v),
@@ -159,3 +187,10 @@ def test_returns_or_raises_error(env, call, value):
         CALLS[call](env, value)
     except Error:
         pass
+
+
+@pytest.mark.parametrize("table", list(BAD_TABLES.values()), ids=list(BAD_TABLES))
+@pytest.mark.parametrize("score", SCORES, ids=[score.__name__ for score in SCORES])
+def test_scores_refuse_tables_that_are_not_counts(score, table):
+    with pytest.raises(Error, match="^a count table must be a 2-D array of non-negative integers$"):
+        score(table)

@@ -33,6 +33,7 @@ from oracles import (
     contingency_oracle,
     distance_sums_oracle,
     entropy_oracle,
+    expected_mi_gammaln_oracle,
     expected_mi_permutation_oracle,
     hcv_oracle,
     mutual_information_oracle,
@@ -181,6 +182,33 @@ class TestAdjustedRand:
             adjusted_rand(contingency([1], [1]))
 
 
+@pytest.fixture(scope="module")
+def seed7_tables() -> list[np.ndarray]:
+    """The contingency tables of the ``kmeans++`` and ``random`` fits of a
+    default comparison on the seed-7 survey with 10 restarts (n = 1020) and
+    on its 4x version with 2 restarts (n = 4080): 20 tables."""
+    tables = []
+    for scale, restarts in ((1, 10), (4, 2)):
+        counts = {t: c * scale for t, c in ingest.SURVEY_TYPE_COUNTS.items()}
+        dataset = ingest.generate_synthetic(ingest.SynthConfig(seed=7, frequencies=counts))
+        fits = []
+        real_fit = kmeans.fit
+
+        def recording_fit(data, config):
+            fits.append(real_fit(data, config))
+            return fits[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kmeans, "fit", recording_fit)
+            rows = run_method_comparison(dataset, seed=0, restarts=restarts)
+        tables.extend(
+            contingency(dataset.type_codes, result.assignments)
+            for (_, report), result in zip(rows, fits)
+            if report.method != "pca-based"
+        )
+    return tables
+
+
 class TestExpectedMutualInformation:
     @pytest.mark.parametrize(
         "a,b",
@@ -209,15 +237,23 @@ class TestExpectedMutualInformation:
             assert emi >= 0.0
             assert emi <= min(entropy_oracle(a), entropy_oracle(b)) + 1e-9
 
+    def test_matches_gammaln_oracle_at_large_n(self, seed7_tables):
+        """The permutation oracle reaches only tiny n; the closed form with
+        scipy's ``gammaln`` table checks n = 1020 and 4080."""
+        for table in seed7_tables:
+            want = expected_mi_gammaln_oracle(table)
+            assert expected_mutual_information(table) == pytest.approx(want, rel=1e-11, abs=0)
+
     @pytest.mark.parametrize("n", [*range(31), 10**6])
-    def test_log_factorials_are_gammaln_bits(self, n):
-        """Each side of Cephes's branch at x = 13 and of its series switch at
-        x = 1000; each entry is built alone, so the n = 10**6 table holds
-        every smaller one as its prefix."""
-        want = gammaln(np.arange(n + 1) + 1.0)
+    def test_log_factorials_near_gammaln(self, n):
+        """Within 1e-14 relative of scipy's ``gammaln`` (4 ulps at most when
+        measured up to n = 10**6), and exactly 0 at 0! = 1! = 1."""
         got = metrics._log_factorials(n)
         assert got.dtype == np.float64
-        assert np.array_equal(got, want)
+        assert got.shape == (n + 1,)
+        assert (got[:2] == 0.0).all()
+        want = gammaln(np.arange(n + 1) + 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestAdjustedMutualInformation:
