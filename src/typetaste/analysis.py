@@ -13,7 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import ALL_TYPES, RATING_MAX, Dataset, float_array, type_code
+from .domain import (
+    ALL_TYPES,
+    RATING_MAX,
+    Dataset,
+    check_type_codes,
+    count_table,
+    float_array,
+    type_code,
+    type_codes_of,
+)
 from .errors import Error
 from .recommend import ProfileSet
 
@@ -42,13 +51,16 @@ def pair_table_to_csv(
 ) -> str:
     """CSV text: metadata comment lines, a ``b=0..b=6`` header, then one row
     per rating of genre_a."""
+    table = count_table(counts)
+    if table.shape != (N_RATINGS, N_RATINGS):
+        raise Error(f"a pair table must be {N_RATINGS}x{N_RATINGS}, got shape {table.shape}")
     buf = io.StringIO()
     buf.write(f"# type={ALL_TYPES[type_code(mbti)]}\n")
     buf.write(f"# genre_a={genre_a}\n")
     buf.write(f"# genre_b={genre_b}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"b={j}" for j in range(N_RATINGS)])
-    writer.writerows(counts.tolist())
+    writer.writerows(table.tolist())
     return buf.getvalue()
 
 
@@ -91,19 +103,22 @@ def scatter_to_csv(
     codes = np.asarray(type_codes)
     if codes.shape != (Z.shape[0],):
         raise Error(f"{codes.size} type labels for {Z.shape[0]} points")
+    check_type_codes(codes, Z.shape[0])
     if assignments is None:
         clusters = np.full(Z.shape[0], "")
         centroids = []
     else:
-        clusters = np.asarray(assignments, dtype=np.int64)
+        clusters = np.asarray(assignments)
         if clusters.shape != (Z.shape[0],):
             raise Error(f"{clusters.size} assignments for {Z.shape[0]} points")
+        if clusters.size and clusters.dtype.kind not in "iu":
+            raise Error(f"cluster ids must be integers, got dtype {clusters.dtype}")
         centroids = [
             [*map(repr, Z[clusters == c].mean(axis=0).tolist()), "", c, 1]
             for c in np.unique(clusters).tolist()
         ]
     if types is not None:
-        keep = np.isin(codes, [type_code(t) for t in types])
+        keep = np.isin(codes, type_codes_of(types))
         Z, codes, clusters = Z[keep], codes[keep], clusters[keep]
     if Z.shape[0] == 0 and not centroids:
         raise Error("no scatter rows to serialize")

@@ -40,6 +40,23 @@ def type_code(text: str) -> int:
     return code
 
 
+def type_codes_of(types: Iterable[str]) -> list[int]:
+    """The :func:`type_code` of each personality code in ``types``; a
+    non-iterable stands for one code, which :func:`type_code` refuses."""
+    return [type_code(t) for t in (types if isinstance(types, Iterable) else [types])]
+
+
+def check_type_codes(codes: np.ndarray, n: int) -> None:
+    """Raise :class:`Error` unless ``codes`` is a 1-D array of ``n`` integer
+    :data:`TYPE_INDEX` codes (not bools)."""
+    if (
+        codes.shape != (n,)
+        or (codes.size and codes.dtype.kind not in "iu")
+        or not np.isin(codes, range(len(ALL_TYPES))).all()
+    ):
+        raise Error(f"type codes must be {n} indices into ALL_TYPES")
+
+
 MAX_SEED = 2**64 - 1
 
 
@@ -129,6 +146,19 @@ def data_matrix(data: np.ndarray) -> np.ndarray:
     if X.ndim != 2:
         raise Error(f"data must be 2-D, got shape {X.shape}")
     return X
+
+
+def count_table(table: np.ndarray) -> np.ndarray:
+    """``table`` as an array, when it is a 2-D array of non-negative integer
+    counts, such as a contingency or pair rating table; anything else raises
+    :class:`Error`."""
+    try:
+        counts = np.asarray(table)
+    except (TypeError, ValueError):  # ragged rows
+        counts = None
+    if counts is None or counts.dtype.kind not in "iu" or counts.ndim != 2 or (counts < 0).any():
+        raise Error("a count table must be a 2-D array of non-negative integers")
+    return counts
 
 
 # The five survey categories, in canonical column order, with their sizes.
@@ -408,12 +438,7 @@ class Dataset:
         bad = bad_ids(ids)
         if bad.any():
             raise Error(f"{ID_RULE}, got {ids[bad.argmax()]!r}")
-        if (
-            codes.shape != (len(ids),)
-            or (codes.size and codes.dtype.kind not in "iu")
-            or not np.isin(codes, range(len(ALL_TYPES))).all()
-        ):
-            raise Error(f"type codes must be {len(ids)} indices into ALL_TYPES")
+        check_type_codes(codes, len(ids))
         if matrix.shape != (len(ids), len(catalog)):
             raise Error(
                 f"rating matrix has shape {matrix.shape}, expected ({len(ids)}, {len(catalog)})"
@@ -475,8 +500,6 @@ class Dataset:
 
     def restrict_types(self, types: Iterable[str]) -> "Dataset":
         """Subset with only the given personality types, preserving row order."""
-        # A non-iterable stands for one code, which type_code refuses.
-        codes = [type_code(t) for t in (types if isinstance(types, Iterable) else [types])]
-        keep = np.isin(self.type_codes, codes)
+        keep = np.isin(self.type_codes, type_codes_of(types))
         ids = compress(self.respondent_ids, keep.tolist())
         return Dataset.from_columns(self.catalog, ids, self.type_codes[keep], self.ratings[keep])

@@ -19,7 +19,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -315,11 +315,13 @@ def result_to_json(result: ClusteringResult, method: str) -> str:
 
 def assignments_to_csv(result: ClusteringResult, respondent_ids: Sequence[str]) -> str:
     """CSV text pairing each respondent id with its cluster index."""
-    if len(respondent_ids) != len(result.assignments):
-        raise Error(f"{len(respondent_ids)} ids for {len(result.assignments)} assignments")
+    # A non-iterable stands for one id, which the length check refuses.
+    ids = tuple(respondent_ids) if isinstance(respondent_ids, Iterable) else (respondent_ids,)
+    if len(ids) != len(result.assignments):
+        raise Error(f"{len(ids)} ids for {len(result.assignments)} assignments")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["respondent_id", "cluster"])
-    for rid, label in zip(respondent_ids, result.assignments):
+    for rid, label in zip(ids, result.assignments):
         writer.writerow([rid, int(label)])
     return buf.getvalue()

@@ -4,13 +4,17 @@ method-comparison report that ties clustering and evaluation together.
 Every agreement score takes the int64 count matrix that :func:`contingency`
 builds from two label sequences, such as a dataset's ``type_codes`` and a
 fit's assignments, and raises :class:`Error` for a table that is not a 2-D
-array of non-negative integers.  All entropies and mutual information use
-natural logarithms.  Homogeneity, completeness, and V-measure follow the
-conditional-entropy definitions, the adjusted Rand index uses exact integer
-pair counting, and adjusted mutual information subtracts the expected MI of
-random labelings with the same marginals (hypergeometric model) and
-normalizes by ``max(H(classes), H(clusters))``; its log-factorials come
-from ``math.lgamma``, so the package needs numpy only.
+array of non-negative integers (``domain.count_table``); labels that numpy
+cannot sort, such as None among ints, raise it too.  All entropies and
+mutual information use natural logarithms.  Homogeneity, completeness, and
+V-measure follow the conditional-entropy definitions, the adjusted Rand
+index uses exact integer pair counting, and adjusted mutual information
+subtracts the expected MI of random labelings with the same marginals
+(hypergeometric model) and normalizes by ``max(H(classes), H(clusters))``.
+The expected MI is one array pass: every (row, column) pair's run of
+possible cell counts is laid end to end, and the terms are built over that
+one array and added with one numpy ``sum``; its log-factorials come from
+``math.lgamma``, so the package needs numpy only.
 
 The silhouette (Rousseeuw 1987) never holds the n x n distance matrix: it
 builds each point's per-cluster distance sums a block of rows at a time,
@@ -35,14 +39,23 @@ import numpy as np
 
 from . import kmeans as km
 from . import pca
-from .domain import Dataset, check_seed, data_matrix, integral_scale
+from .domain import Dataset, check_seed, count_table, data_matrix, integral_scale
 from .errors import Error
+
+
+def _unique(labels: np.ndarray, **kwargs):
+    """``np.unique`` of a label array; labels that numpy cannot sort, such
+    as None or a dict among ints, raise :class:`Error`."""
+    try:
+        return np.unique(labels, **kwargs)
+    except TypeError:
+        raise Error("labels must sort together, such as all ints or all strings") from None
 
 
 def _first_appearance_codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Each label's rank among the distinct labels in order of first
     appearance, and the number of distinct labels."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    _, first, inverse = _unique(labels, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
     return rank[inverse], first.size
@@ -65,18 +78,6 @@ def contingency(labels_true: Sequence, labels_pred: Sequence) -> np.ndarray:
     return cells.astype(np.int64, copy=False).reshape(n_rows, n_cols)
 
 
-def _count_table(table: np.ndarray) -> np.ndarray:
-    """``table`` as an array, when it is a 2-D array of non-negative integer
-    counts such as :func:`contingency` builds; anything else raises :class:`Error`."""
-    try:
-        counts = np.asarray(table)
-    except (TypeError, ValueError):  # ragged rows
-        counts = None
-    if counts is None or counts.dtype.kind not in "iu" or counts.ndim != 2 or (counts < 0).any():
-        raise Error("a count table must be a 2-D array of non-negative integers")
-    return counts
-
-
 def _entropy(sums: np.ndarray) -> float:
     p = sums[sums > 0] / sums.sum()
     return float(-(p * np.log(p)).sum())
@@ -84,7 +85,7 @@ def _entropy(sums: np.ndarray) -> float:
 
 def mutual_information(table: np.ndarray) -> float:
     """MI between the two labelings, in nats; never negative."""
-    table = _count_table(table)
+    table = count_table(table)
     n = int(table.sum())
     rows, cols = np.nonzero(table)
     nij = table[rows, cols].astype(np.float64)
@@ -102,7 +103,7 @@ def homogeneity_completeness_v(table: np.ndarray) -> tuple[float, float, float]:
     homogeneous, so that edge scores 1.  Completeness is symmetric, and
     V-measure is 0 when both are 0.
     """
-    table = _count_table(table)
+    table = count_table(table)
     h_classes = _entropy(table.sum(axis=1))
     h_clusters = _entropy(table.sum(axis=0))
     mi = mutual_information(table)
@@ -122,7 +123,7 @@ def adjusted_rand(table: np.ndarray) -> float:
     index coincide (for example both labelings put everything in one group)
     the score is defined as 1.
     """
-    table = _count_table(table)
+    table = count_table(table)
     n = int(table.sum())
     if n < 2:
         raise Error(f"adjusted Rand needs at least 2 samples, got {n}")
@@ -147,39 +148,35 @@ def expected_mutual_information(table: np.ndarray) -> float:
 
     Averages cell MI contributions under the hypergeometric distribution of
     each cell count given fixed row and column sums, with factorials kept in
-    log space for stability.
+    log space for stability.  Every (row, column) pair's run of possible
+    counts ``max(1, a + b - n) .. min(a, b)`` is laid end to end in one
+    array, so the terms are built and added in one pass; a zero marginal
+    gives an empty run.
     """
-    table = _count_table(table)
+    table = count_table(table)
     n = int(table.sum())
-    col_sums = table.sum(axis=0).tolist()
+    a, b = table.sum(axis=1), table.sum(axis=0)
+    lo = np.maximum(a[:, None] + b - n, 1)
+    runs = np.maximum(np.minimum(a[:, None], b) - lo + 1, 0).ravel()
+    pair = np.repeat(np.arange(runs.size), runs)
+    # Each term's offset within its run, plus the run's first count.
+    nij = np.arange(pair.size) + np.repeat(lo.ravel() - (np.cumsum(runs) - runs), runs)
+    ai, bj = a[pair // b.size], b[pair % b.size]
     log_fact = _log_factorials(n)
-    emi = 0.0
-    for ai in table.sum(axis=1).tolist():
-        if ai == 0:
-            continue
-        for bj in col_sums:
-            if bj == 0:
-                continue
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            if hi < lo:
-                continue
-            nij = np.arange(lo, hi + 1, dtype=np.int64)
-            log_p = (
-                log_fact[ai]
-                + log_fact[bj]
-                + log_fact[n - ai]
-                + log_fact[n - bj]
-                - log_fact[n]
-                - log_fact[nij]
-                - log_fact[ai - nij]
-                - log_fact[bj - nij]
-                - log_fact[n - ai - bj + nij]
-            )
-            terms = (nij / n) * (np.log(nij) + math.log(n) - math.log(ai) - math.log(bj))
-            emi += float((terms * np.exp(log_p)).sum())
+    log_p = (
+        log_fact[ai]
+        + log_fact[bj]
+        + log_fact[n - ai]
+        + log_fact[n - bj]
+        - log_fact[n]
+        - log_fact[nij]
+        - log_fact[ai - nij]
+        - log_fact[bj - nij]
+        - log_fact[n - ai - bj + nij]
+    )
+    terms = (nij / n) * (np.log(nij * n) - np.log(ai * bj))
     # An average of nonnegative MI values; tiny negatives are rounding noise.
-    return max(emi, 0.0)
+    return max(float((terms * np.exp(log_p)).sum()), 0.0)
 
 
 def adjusted_mutual_information(table: np.ndarray) -> float:
@@ -189,7 +186,7 @@ def adjusted_mutual_information(table: np.ndarray) -> float:
     perfect match; both-sides-degenerate tables (one class, one cluster)
     score 1 by convention.
     """
-    table = _count_table(table)
+    table = count_table(table)
     n = int(table.sum())
     if n < 2:
         raise Error(f"adjusted MI needs at least 2 samples, got {n}")
@@ -320,7 +317,7 @@ def silhouette_samples(data: np.ndarray, assignments: Sequence) -> np.ndarray:
         raise Error("silhouette needs at least one labeling")
     memberships = []
     for row in stack:
-        unique = np.unique(row)
+        unique = _unique(row)
         if unique.size < 2:
             raise Error("silhouette needs at least 2 distinct clusters")
         memberships.append(row[:, None] == unique[None, :])

@@ -119,6 +119,14 @@ class TestPairRatingTable:
         parsed = [[int(x) for x in line.split(",")] for line in lines[4:]]
         assert np.array_equal(np.array(parsed), table)
 
+    def test_csv_refuses_tables_that_are_not_7x7_counts(self):
+        args = ("intp", "Psychology", "Religion & Spirituality")
+        with pytest.raises(Error, match=r"^a pair table must be 7x7, got shape \(3, 7\)$"):
+            pair_table_to_csv(np.zeros((3, 7), dtype=np.int64), *args)
+        for counts in ("x", None, np.arange(7), np.full((7, 7), 0.5)):
+            with pytest.raises(Error, match="^a count table must be a 2-D array of non-negative"):
+                pair_table_to_csv(counts, *args)
+
 
 class TestInclination:
     def test_matches_pair_table_rule(self, survey_dataset):
@@ -226,6 +234,23 @@ class TestScatterExport:
             scatter_to_csv(rng.normal(size=(4, 2)), np.full(3, self.INTP))
         with pytest.raises(Error, match="^2 assignments for 4 points$"):
             scatter_to_csv(rng.normal(size=(4, 2)), np.full(4, self.INTP), [0, 1])
+
+    @pytest.mark.parametrize(
+        "clusters", [[0.5, 0.4, 1.7, 1.2], ["a", "a", "b", "b"], [True, True, False, False]]
+    )
+    def test_cluster_ids_must_be_integers(self, rng, clusters):
+        """Float cluster ids were truncated to ints, and strings raised a raw
+        ``ValueError``."""
+        with pytest.raises(Error, match="^cluster ids must be integers, got dtype "):
+            scatter_to_csv(rng.normal(size=(4, 2)), np.full(4, self.INTP), clusters)
+
+    @pytest.mark.parametrize(
+        "codes", [[0, 1, 2, 16], [0, 1, 2, -1], [0.0, 1.0, 2.0, 3.0], ["0", "1", "2", "3"]]
+    )
+    def test_type_codes_must_index_all_types(self, rng, codes):
+        """The rule of ``Dataset.from_columns``: these raised a raw ``IndexError``."""
+        with pytest.raises(Error, match="^type codes must be 4 indices into ALL_TYPES$"):
+            scatter_to_csv(rng.normal(size=(4, 2)), codes)
 
     def test_csv_layout_2d(self, rng):
         Z = rng.normal(size=(3, 2))

@@ -20,7 +20,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from typetaste.analysis import inclination, pair_rating_table, scatter_to_csv
+from typetaste.analysis import (
+    inclination,
+    pair_rating_table,
+    pair_table_to_csv,
+    scatter_to_csv,
+)
 from typetaste.domain import (
     PSYCHOLOGY,
     RELIGION_SPIRITUALITY,
@@ -34,7 +39,14 @@ from typetaste.domain import (
 )
 from typetaste.errors import Error
 from typetaste.ingest import SynthConfig
-from typetaste.kmeans import KmeansConfig, init_kmeanspp, init_random, lloyd
+from typetaste.kmeans import (
+    KmeansConfig,
+    assignments_to_csv,
+    fit,
+    init_kmeanspp,
+    init_random,
+    lloyd,
+)
 from typetaste.metrics import (
     adjusted_mutual_information,
     adjusted_rand,
@@ -160,8 +172,21 @@ CALLS = {
         env.profiles, "intp", v, RELIGION_SPIRITUALITY
     ),
     "inclination.genre_b": lambda env, v: inclination(env.profiles, "intp", PSYCHOLOGY, v),
+    "pair_table_to_csv.counts": lambda env, v: pair_table_to_csv(
+        v, "intp", PSYCHOLOGY, RELIGION_SPIRITUALITY
+    ),
+    "pair_table_to_csv.mbti": lambda env, v: pair_table_to_csv(
+        env.pair_table, v, PSYCHOLOGY, RELIGION_SPIRITUALITY
+    ),
     "scatter_to_csv.coords": lambda env, v: scatter_to_csv(v, LABELS),
+    "scatter_to_csv.type_codes": lambda env, v: scatter_to_csv(X[:, :2], v),
+    "scatter_to_csv.assignments": lambda env, v: scatter_to_csv(X[:, :2], LABELS, v),
+    "scatter_to_csv.types": lambda env, v: scatter_to_csv(X[:, :2], LABELS, types=v),
+    "assignments_to_csv.respondent_ids": lambda env, v: assignments_to_csv(env.result, v),
 }
+
+# Label sequences that numpy cannot sort: np.unique raised a raw TypeError.
+UNSORTABLE_LABELS = {"None": [None, 1, 0, 1], "dict": [{"x": 1}, 0, 1, 1]}
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +200,8 @@ def env(small_dataset):
         profiles=profiles,
         user=small_dataset.record(small_dataset.respondent_ids[0]),
         model=fit_pca(X, 2),
+        pair_table=np.zeros((7, 7), dtype=np.int64),
+        result=fit(X, KmeansConfig(k=2, seed=0)),
         row=(3,) * len(catalog),
         matrix=np.full((2, len(catalog)), 3),
     )
@@ -194,3 +221,18 @@ def test_returns_or_raises_error(env, call, value):
 def test_scores_refuse_tables_that_are_not_counts(score, table):
     with pytest.raises(Error, match="^a count table must be a 2-D array of non-negative integers$"):
         score(table)
+
+
+@pytest.mark.parametrize("labels", list(UNSORTABLE_LABELS.values()), ids=list(UNSORTABLE_LABELS))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda labels: contingency(labels, LABELS),
+        lambda labels: contingency(LABELS, labels),
+        lambda labels: silhouette_samples(X, labels),
+    ],
+    ids=["contingency.labels_true", "contingency.labels_pred", "silhouette_samples.assignments"],
+)
+def test_unsortable_labels_raise_error(call, labels):
+    with pytest.raises(Error, match="^labels must sort together, such as all ints or all strings$"):
+        call(labels)

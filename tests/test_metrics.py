@@ -229,6 +229,28 @@ class TestExpectedMutualInformation:
     def test_single_cluster_has_zero_expectation(self):
         assert expected_mutual_information(contingency([0, 1, 2], [0, 0, 0])) == 0.0
 
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros((3, 4), dtype=np.int64), np.array([[0, 0], [0, 5]]), np.array([[5]])],
+        ids=["all-zero", "zero-row-and-column", "1x1"],
+    )
+    def test_degenerate_tables_have_zero_expectation(self, table):
+        """A zero marginal gives an empty run of cell counts, so no log(0)
+        and no division by n = 0 is taken: numpy raises on either here."""
+        with np.errstate(all="raise"):
+            assert expected_mutual_information(table) == 0.0
+
+    def test_zero_marginals_add_no_terms(self):
+        table = np.array([[2, 3], [1, 4]])
+        padded = np.array([[0, 0, 0], [0, 2, 3], [0, 1, 4]])
+        assert expected_mutual_information(padded) == expected_mutual_information(table) > 0.0
+
+    def test_symmetric_in_the_two_labelings(self, seed7_tables):
+        """The transposed table adds its terms in another order."""
+        for table in seed7_tables:
+            want = expected_mutual_information(table)
+            assert expected_mutual_information(table.T) == pytest.approx(want, rel=1e-11, abs=0)
+
     def test_nonnegative_and_below_mi_bound(self, rng):
         for _ in range(100):
             a, b = random_label_pair(rng)
